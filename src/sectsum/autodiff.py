@@ -314,12 +314,6 @@ def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _make(np.asarray(data, dtype=np.float64), (a,), backward)
 
 
-def tmean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    n = a.size if axis is None else a.shape[axis]
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 def softmax(a, axis: int = -1) -> Tensor:
     """Numerically stable softmax along `axis` (max-subtraction)."""
     a = _as_tensor(a)
@@ -436,17 +430,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(data, tuple(tensors), backward)
 
 
-_ACTIVATIONS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid}
-
-
-def activation(x, kind: str) -> Tensor:
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}; choose from {sorted(_ACTIVATIONS)}") from None
-    return fn(x)
-
-
 # ---------------------------------------------------------------------------
 # linear layers and embeddings
 # ---------------------------------------------------------------------------
@@ -482,25 +465,13 @@ def linear(x, layer: Linear) -> Tensor:
     return add(matmul(x, transpose(layer.weight)), layer.bias)
 
 
-def embedding_lookup(table, index: int, *, warn_label: str = "embedding") -> Tensor:
-    """Row `index` of an embedding table, clamping overshoots to the last row.
-
-    A negative index is a caller bug and raises; an index past the table end is
-    clamped to the final row with a logged warning (the documented behaviour
-    for out-of-vocabulary buckets).
-    """
-    table = _as_tensor(table)
-    n = table.shape[0]
-    if index < 0:
-        raise ValueError(f"{warn_label}: negative index {index}")
-    if index >= n:
-        logger.warning("%s: index %d clamped to table size %d", warn_label, index, n)
-        index = n - 1
-    return reshape(gather_rows(table, np.array([index])), (table.shape[1],))
-
-
 def clamp_indices(indices: np.ndarray, n_rows: int, *, warn_label: str = "embedding") -> np.ndarray:
-    """Vectorised variant of the lookup clamp rule for index arrays."""
+    """Embedding-table row indices, with overshoots clamped to the last row.
+
+    A negative index is a caller bug and raises ValueError; an index at or
+    past `n_rows` is clamped to the final row with one logged warning per
+    call (the documented behaviour for out-of-vocabulary buckets).
+    """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and idx.min() < 0:
         raise ValueError(f"{warn_label}: negative index {int(idx.min())}")

@@ -9,6 +9,7 @@ validation failure, 2 I/O or usage problems.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -22,40 +23,23 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, check_artifact_hash, model_hash, resolve_config
 from .corpus import (
     CorpusError,
+    LabeledDocument,
+    ParseError,
+    SchemaError,
     load_corpus,
     read_labels,
+    tokenize,
     write_corpus,
     write_labels,
 )
-from .extractor import SelectionConfig, select_sentences
+from .extractor import SelectionConfig, select_sentences, selection_budget
 from .model import Model
-from .rouge import default_budget, oracle_labels, rouge_l, rouge_n
-from .corpus import tokenize
+from .rouge import oracle_labels, rouge_l, rouge_n
 from .training import TrainConfig, TrainingError, train, write_metrics_csv
 
 log = logging.getLogger(__name__)
 
-_OVERRIDE_KEYS = (
-    "seed",
-    "window",
-    "global_ratio",
-    "budget_ratio",
-    "reinforced",
-    "layers",
-    "heads",
-    "d_model",
-    "epochs",
-    "warmup_steps",
-    "lr_scale",
-    "accumulation_steps",
-    "clip_norm",
-    "candidates_k",
-    "holdout_ratio",
-    "max_sentences",
-    "global_policy",
-    "combine",
-    "encoder_seed",
-)
+_RUN_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig))
 
 
 def _shared_flags() -> argparse.ArgumentParser:
@@ -127,11 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {}
-    for key in _OVERRIDE_KEYS:
-        if hasattr(args, key) and getattr(args, key) is not None:
-            overrides[key] = getattr(args, key)
-    raw_trigram = getattr(args, "trigram_threshold", None)
+    overrides = {k: v for k, v in vars(args).items() if k in _RUN_CONFIG_KEYS and v is not None}
+    raw_trigram = overrides.get("trigram_threshold")
     if raw_trigram is not None:
         overrides["trigram_threshold"] = None if str(raw_trigram).lower() == "none" else int(raw_trigram)
     return resolve_config(args.config, overrides)
@@ -183,7 +164,7 @@ def cmd_label(args) -> int:
     docs = _load_corpus_strict(args.corpus, cfg, "corpus")
     rows = []
     for i, doc in enumerate(docs, start=1):
-        labels = oracle_labels(doc, default_budget(doc.n_sentences, cfg.budget_ratio))
+        labels = oracle_labels(doc, selection_budget(doc.n_sentences, cfg.budget_ratio))
         rows.append((doc.id, labels.tolist()))
         if i % 25 == 0 or i == len(docs):
             log.info("labeled %d/%d documents", i, len(docs))
@@ -195,8 +176,6 @@ def cmd_label(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .corpus import LabeledDocument  # local import keeps module top tidy
-
     cfg = _config_from_args(args)
     docs = _load_corpus_strict(args.corpus, cfg, "corpus")
     labels_map, labels_header = read_labels(args.labels)
@@ -264,12 +243,18 @@ def _read_summaries(path: Path) -> tuple[dict[str, dict], dict | None]:
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ParseError(f"summaries line {line_no}: invalid JSON ({e.msg})") from None
             if line_no == 1 and isinstance(obj, dict) and "artifact" in obj:
                 header = obj
                 continue
             if not isinstance(obj, dict) or "id" not in obj or "sentences" not in obj:
-                raise CorpusError(f"summaries line {line_no}: expected {{id, sentences, ...}}")
+                raise SchemaError(f"summaries line {line_no}: expected {{id, sentences, ...}}")
+            sents = obj["sentences"]
+            if not isinstance(sents, list) or not all(isinstance(t, str) for t in sents):
+                raise SchemaError(f"summaries line {line_no}: sentences must be a list of strings")
             records[str(obj["id"])] = obj
     return records, header
 

@@ -228,10 +228,13 @@ def load_corpus(path: str | Path, max_sentences: int | None = None) -> LoadRepor
     """Read a corpus JSONL file, tolerating bad lines.
 
     Per-line failures are collected into report.problems rather than raised;
-    callers choose how strict to be.  An optional artifact header on the
-    first line is returned separately, never treated as a document.
+    callers choose how strict to be.  A document whose id repeats an earlier
+    kept document's is a problem too, and only the first copy is kept.  An
+    optional artifact header on the first line is returned separately, never
+    treated as a document.
     """
     report = LoadReport()
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -251,6 +254,12 @@ def load_corpus(path: str | Path, max_sentences: int | None = None) -> LoadRepor
             if violations:
                 report.problems.append(f"line {line_no}: " + "; ".join(violations))
                 continue
+            if doc.id in first_line:
+                report.problems.append(
+                    f"line {line_no}: duplicate document id {doc.id!r} (first on line {first_line[doc.id]})"
+                )
+                continue
+            first_line[doc.id] = line_no
             if max_sentences is not None and doc.n_sentences > max_sentences:
                 doc = truncate_document(doc, max_sentences)
                 report.truncated += 1

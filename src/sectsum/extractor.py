@@ -87,6 +87,7 @@ def shared_trigrams(candidate: Sentence, selected: list[Sentence]) -> int:
 
 
 def selection_budget(n_sentences: int, budget_ratio: float) -> int:
+    """Sentences to select: ceil(budget_ratio * n), never below 1."""
     return max(1, math.ceil(budget_ratio * n_sentences))
 
 

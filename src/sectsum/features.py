@@ -78,33 +78,14 @@ def length_features(char_lengths: np.ndarray, params: FeatureParams) -> ad.Tenso
     return _embedded_feature(params.length_table, params.length_linear, buckets)
 
 
-def length_feature(char_length: int, params: FeatureParams) -> ad.Tensor:
-    d = params.length_table.shape[1]
-    return ad.reshape(length_features(np.array([char_length]), params), (d,))
-
-
 def position_features(positions: np.ndarray, params: FeatureParams) -> ad.Tensor:
     idx = ad.clamp_indices(positions, params.position_table.shape[0], warn_label="position feature")
     return _embedded_feature(params.position_table, params.position_linear, idx)
 
 
-def position_feature(i: int, params: FeatureParams) -> ad.Tensor:
-    if i < 0:
-        raise ValueError(f"position must be >= 0, got {i}")
-    d = params.position_table.shape[1]
-    return ad.reshape(position_features(np.array([i]), params), (d,))
-
-
 def section_features(section_indices: np.ndarray, params: FeatureParams) -> ad.Tensor:
     idx = ad.clamp_indices(section_indices, params.section_table.shape[0], warn_label="section feature")
     return _embedded_feature(params.section_table, params.section_linear, idx)
-
-
-def section_feature(section_index: int, params: FeatureParams) -> ad.Tensor:
-    if section_index < 0:
-        raise ValueError(f"section index must be >= 0, got {section_index}")
-    d = params.section_table.shape[1]
-    return ad.reshape(section_features(np.array([section_index]), params), (d,))
 
 
 def correlation_feature(sent_vecs: ad.Tensor, params: FeatureParams) -> ad.Tensor:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -46,18 +45,21 @@ def ngrams(tokens: list[str] | tuple[str, ...], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def rouge_n(candidate: list[str], reference: list[str], n: int) -> RougeScore:
-    """Clipped n-gram overlap: recall over reference counts, precision over candidate."""
-    ref_counts = ngrams(reference, n)
-    ref_total = sum(ref_counts.values())
+def _rouge_n_counts(candidate: list[str], ref_counts: Counter, ref_total: int, n: int) -> RougeScore:
+    """ROUGE-N of candidate tokens against precomputed reference n-gram counts."""
     if ref_total == 0:
         return ZERO_SCORE
     cand_counts = ngrams(candidate, n)
     cand_total = sum(cand_counts.values())
     overlap = sum((cand_counts & ref_counts).values())
     precision = overlap / cand_total if cand_total else 0.0
-    recall = overlap / ref_total
-    return RougeScore.from_pr(precision, recall)
+    return RougeScore.from_pr(precision, overlap / ref_total)
+
+
+def rouge_n(candidate: list[str], reference: list[str], n: int) -> RougeScore:
+    """Clipped n-gram overlap: recall over reference counts, precision over candidate."""
+    ref_counts = ngrams(reference, n)
+    return _rouge_n_counts(candidate, ref_counts, sum(ref_counts.values()), n)
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
@@ -108,19 +110,20 @@ def reward(candidate_text: str, reference_text: str) -> Reward:
 # ---------------------------------------------------------------------------
 
 
-def _extract_gain_score(selected_tokens: list[str], ref1: Counter, ref2: Counter,
-                        ref1_total: int, ref2_total: int) -> float:
-    """ROUGE-1 F1 + ROUGE-2 F1 of an extract given precomputed reference counts."""
+def _reference_counts(reference: str) -> list[tuple[Counter, int]]:
+    """Unigram and bigram counts of the reference with their totals, counted once."""
+    ref_tokens = tokenize(reference)
+    return [(c, sum(c.values())) for c in (ngrams(ref_tokens, 1), ngrams(ref_tokens, 2))]
+
+
+def _extract_score(sentences, selected, refs: list[tuple[Counter, int]]) -> float:
+    """ROUGE-1 F1 + ROUGE-2 F1 of the extract formed by `selected`, in document order."""
+    tokens: list[str] = []
+    for i in sorted(selected):
+        tokens.extend(sentences[i].tokens)
     total = 0.0
-    for n, ref_counts, ref_total in ((1, ref1, ref1_total), (2, ref2, ref2_total)):
-        if ref_total == 0:
-            continue
-        cand_counts = ngrams(selected_tokens, n)
-        cand_total = sum(cand_counts.values())
-        overlap = sum((cand_counts & ref_counts).values())
-        p = overlap / cand_total if cand_total else 0.0
-        r = overlap / ref_total
-        total += 2.0 * p * r / (p + r) if (p + r) > 0 else 0.0
+    for n, (ref_counts, ref_total) in enumerate(refs, start=1):
+        total += _rouge_n_counts(tokens, ref_counts, ref_total, n).f1
     return total
 
 
@@ -129,13 +132,8 @@ def extract_f1(doc: Document, selected: list[int] | np.ndarray) -> float:
 
     Shared by the greedy oracle and by brute-force verification in tests.
     """
-    ref_tokens = tokenize(doc.reference_summary)
-    ref1, ref2 = ngrams(ref_tokens, 1), ngrams(ref_tokens, 2)
-    sentences = doc.sentences
-    tokens: list[str] = []
-    for i in sorted(int(i) for i in selected):
-        tokens.extend(sentences[i].tokens)
-    return _extract_gain_score(tokens, ref1, ref2, sum(ref1.values()), sum(ref2.values()))
+    return _extract_score(doc.sentences, [int(i) for i in selected],
+                          _reference_counts(doc.reference_summary))
 
 
 def oracle_labels(doc: Document, budget: int) -> np.ndarray:
@@ -150,13 +148,11 @@ def oracle_labels(doc: Document, budget: int) -> np.ndarray:
         raise ValueError(f"oracle_labels: budget must be >= 1, got {budget}")
     n = doc.n_sentences
     labels = np.zeros(n, dtype=np.int64)
-    ref_tokens = tokenize(doc.reference_summary)
-    if not ref_tokens:
+    refs = _reference_counts(doc.reference_summary)
+    if refs[0][1] == 0:
         log.warning("doc %s: empty reference summary, oracle labels all zero", doc.id)
         return labels
 
-    ref1, ref2 = ngrams(ref_tokens, 1), ngrams(ref_tokens, 2)
-    ref1_total, ref2_total = sum(ref1.values()), sum(ref2.values())
     sentences = doc.sentences
     chosen: list[int] = []
     best_score = 0.0
@@ -165,11 +161,7 @@ def oracle_labels(doc: Document, budget: int) -> np.ndarray:
         for i in range(n):
             if labels[i]:
                 continue
-            extract = sorted(chosen + [i])
-            tokens: list[str] = []
-            for j in extract:
-                tokens.extend(sentences[j].tokens)
-            score = _extract_gain_score(tokens, ref1, ref2, ref1_total, ref2_total)
+            score = _extract_score(sentences, chosen + [i], refs)
             gain = score - best_score
             if gain > best_gain + 1e-12:
                 best_idx, best_gain = i, gain
@@ -179,11 +171,6 @@ def oracle_labels(doc: Document, budget: int) -> np.ndarray:
         chosen.append(best_idx)
         best_score += best_gain
     return labels
-
-
-def default_budget(n_sentences: int, ratio: float = 0.20) -> int:
-    """Selection budget: ceil(ratio * n), never below 1."""
-    return max(1, math.ceil(ratio * n_sentences))
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .config import RunConfig
-from .corpus import LabeledDocument
+from .corpus import LabeledDocument, tokenize
 from .extractor import SelectionConfig, SentenceScores, select_sentences
 from .model import Model
 from .rouge import CandidateSet, rouge_l, rouge_n, sample_candidates, stable_seed
-from .corpus import tokenize
 
 log = logging.getLogger(__name__)
 
@@ -46,19 +45,8 @@ class TrainConfig:
 
     @classmethod
     def from_run_config(cls, cfg: RunConfig) -> "TrainConfig":
-        return cls(
-            lr_scale=cfg.lr_scale,
-            warmup_steps=cfg.warmup_steps,
-            accumulation_steps=cfg.accumulation_steps,
-            clip_norm=cfg.clip_norm,
-            epochs=cfg.epochs,
-            reinforced=cfg.reinforced,
-            candidates_k=cfg.candidates_k,
-            seed=cfg.seed,
-            holdout_ratio=cfg.holdout_ratio,
-            budget_ratio=cfg.budget_ratio,
-            trigram_threshold=cfg.trigram_threshold,
-        )
+        """The RunConfig values of the fields TrainConfig shares with it by name."""
+        return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------

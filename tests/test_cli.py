@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from helpers import doc_from_sections, write_corpus_jsonl
 from sectsum.cli import _config_from_args, build_parser, main
+from sectsum.config import RunConfig, resolve_config
 from sectsum.corpus import read_labels
 
 
@@ -87,6 +90,29 @@ def test_ingest_bad_line_fails_unless_lenient(tmp_path, capsys):
     assert "docs=2" in capsys.readouterr().out
 
 
+def test_duplicate_ids_fail_ingest_unless_lenient_and_every_reader(tmp_path, capsys, cfg_file):
+    src, out = tmp_path / "raw.jsonl", tmp_path / "corpus.jsonl"
+    docs = _docs(3)
+    docs[2] = doc_from_sections("doc0", [["zeta eta theta"]], reference="zeta")
+    write_corpus_jsonl(src, docs)
+
+    assert main(["ingest", "--input", str(src), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "line 3: duplicate document id 'doc0' (first on line 1)" in captured.err
+    assert "docs=2" in captured.out and "bad_lines=1" in captured.out
+
+    assert main(["ingest", "--input", str(src), "--out", str(out), "--lenient"]) == 0
+    kept = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+    assert [d["id"] for d in kept] == ["doc0", "doc1"]
+    assert kept[0]["sections"][0]["sentences"] == [s.text for s in docs[0].sections[0].sentences]
+
+    capsys.readouterr()
+    rc = main(["label", "--config", str(cfg_file), "--corpus", str(src),
+               "--out", str(tmp_path / "labels.jsonl")])
+    assert rc == 1
+    assert "duplicate document id 'doc0'" in capsys.readouterr().err
+
+
 def test_missing_input_file_exits_two(tmp_path, capsys):
     rc = main(["ingest", "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -124,14 +150,45 @@ def test_trigram_threshold_flag_special_cases_none():
     assert _config_from_args(ns).trigram_threshold is None  # default, not the string
 
 
-def test_shared_overrides_reach_the_config():
-    ns = build_parser().parse_args(
-        ["ingest", "--input", "i", "--out", "o", "--d-model", "16", "--heads", "4",
-         "--seed", "9", "--global-ratio", "12.5", "--budget-ratio", "0.4"]
-    )
-    cfg = _config_from_args(ns)
-    assert (cfg.d_model, cfg.heads, cfg.seed) == (16, 4, 9)
-    assert (cfg.global_ratio, cfg.budget_ratio) == (12.5, 0.4)
+# one valid, non-default value per RunConfig key that has a flag, as a config
+# file would spell it; a flag without a value here fails the test below
+_FLAG_VALUES = {
+    "seed": "9", "window": "7", "global_ratio": "12.5", "budget_ratio": "0.4",
+    "trigram_threshold": "3", "reinforced": "true", "layers": "3", "heads": "8",
+    "d_model": "16", "epochs": "4", "warmup_steps": "11", "lr_scale": "0.5",
+    "accumulation_steps": "2", "clip_norm": "0.25", "candidates_k": "6", "holdout_ratio": "0.3",
+}
+_REQUIRED_ARGS = {
+    "ingest": ["--input", "i", "--out", "o"],
+    "label": ["--corpus", "c", "--out", "o"],
+    "train": ["--corpus", "c", "--labels", "l", "--checkpoint-out", "o"],
+    "summarize": ["--corpus", "c", "--checkpoint", "k", "--out", "o"],
+    "evaluate": ["--summaries", "s", "--corpus", "c", "--out", "o"],
+    "bench": ["--out", "o"],
+}
+
+
+def test_shared_overrides_reach_the_config(tmp_path):
+    # every flag of every subcommand whose destination is a RunConfig field
+    # sets exactly what the config-file line for that key sets
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    defaults = resolve_config()
+    cfg_file = tmp_path / "one.cfg"
+    seen = set()
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.dest not in fields:
+                continue
+            seen.add(action.dest)
+            raw = _FLAG_VALUES[action.dest]
+            flag = [action.option_strings[0]] + ([] if action.nargs == 0 else [raw])
+            cfg = _config_from_args(parser.parse_args([command, *_REQUIRED_ARGS[command], *flag]))
+            cfg_file.write_text(f"{action.dest} = {raw}\n")
+            assert cfg == resolve_config(cfg_file), (command, action.dest)
+            assert getattr(cfg, action.dest) != getattr(defaults, action.dest), action.dest
+    assert seen == set(_FLAG_VALUES)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +328,31 @@ def test_evaluate_perfect_summaries_score_one(tmp_path, capsys, cfg_file):
     assert lines[0].startswith("# config_hash=")
     assert lines[1] == "id\trouge1_recall\trouge2_recall\trougeL_recall"
     assert lines[2] == "d0\t1.000000\t1.000000\t1.000000"
+
+
+@pytest.mark.parametrize(
+    "bad_line,message",
+    [
+        ('{"id": "d1",', "summaries line 3: invalid JSON"),
+        ('["d1"]', "summaries line 3: expected {id, sentences, ...}"),
+        ('{"id": "d1", "sentences": [1]}', "summaries line 3: sentences must be a list of strings"),
+        ('{"id": "d1", "sentences": "alpha beta"}',
+         "summaries line 3: sentences must be a list of strings"),
+    ],
+)
+def test_evaluate_rejects_malformed_summaries_line(tmp_path, capsys, cfg_file, bad_line, message):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(corpus, [doc_from_sections("d0", [["alpha beta"]], reference="alpha")])
+    summaries = tmp_path / "summaries.jsonl"
+    summaries.write_text(
+        json.dumps({"artifact": "summaries"}) + "\n"
+        + json.dumps({"id": "d0", "sentences": ["alpha beta"]}) + "\n"
+        + bad_line + "\n"
+    )
+    rc = main(["evaluate", "--config", str(cfg_file), "--summaries", str(summaries),
+               "--corpus", str(corpus), "--out", str(tmp_path / "o.tsv")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
 
 
 def test_evaluate_rejects_summary_for_unknown_document(tmp_path, capsys, cfg_file):

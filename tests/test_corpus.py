@@ -197,6 +197,17 @@ def test_load_corpus_collects_problems_instead_of_raising(tmp_path):
     assert "line 2" in report.problems[0]
 
 
+def test_load_corpus_keeps_first_of_duplicate_ids(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    first = doc_from_sections("a", [["first copy"]])
+    other = doc_from_sections("b", [["other doc"]])
+    second = doc_from_sections("a", [["second copy"]])
+    write_corpus([first, other, second], path)
+    report = load_corpus(path)
+    assert report.documents == [first, other]
+    assert report.problems == ["line 3: duplicate document id 'a' (first on line 1)"]
+
+
 def test_load_corpus_skips_blank_lines_and_truncates(tmp_path):
     path = tmp_path / "corpus.jsonl"
     doc = doc_from_sections("long", [["a 1", "b 2", "c 3", "d 4"]])

@@ -16,12 +16,9 @@ from sectsum.features import (
     document_embedding,
     init_feature_params,
     length_bucket,
-    length_feature,
     length_features,
-    position_feature,
     position_features,
     saliency_feature,
-    section_feature,
     section_features,
 )
 
@@ -70,19 +67,6 @@ def test_embedded_features_match_manual_composition():
     np.testing.assert_allclose(feats.data, expected)
 
 
-def test_singular_variants_match_batch_rows():
-    params = _params()
-    np.testing.assert_allclose(
-        length_feature(25, params).data, length_features(np.array([25]), params).data[0]
-    )
-    np.testing.assert_allclose(
-        position_feature(3, params).data, position_features(np.array([3]), params).data[0]
-    )
-    np.testing.assert_allclose(
-        section_feature(1, params).data, section_features(np.array([1]), params).data[0]
-    )
-
-
 def test_position_and_section_clamp_with_warning(caplog):
     params = _params(pos_buckets=4, s_max=2)
     np.testing.assert_allclose(
@@ -97,11 +81,12 @@ def test_position_and_section_clamp_with_warning(caplog):
 
 
 def test_singular_variants_reject_negatives():
+    # a single negative index anywhere in the batch is refused by clamp_indices
     params = _params()
-    with pytest.raises(ValueError):
-        position_feature(-1, params)
-    with pytest.raises(ValueError):
-        section_feature(-2, params)
+    with pytest.raises(ValueError, match="position feature: negative index -1"):
+        position_features(np.array([-1]), params)
+    with pytest.raises(ValueError, match="section feature: negative index -2"):
+        section_features(np.array([0, -2]), params)
 
 
 def test_feature_channels_are_nonnegative():

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import doc_from_sections
+from sectsum.extractor import selection_budget
 from sectsum.rouge import (
     ZERO_SCORE,
     RougeScore,
-    default_budget,
     extract_f1,
     ngrams,
     oracle_labels,
@@ -167,11 +167,12 @@ def test_reward_bounded(cand, ref):
 
 
 def test_default_budget_rounds_up_and_floors_at_one():
-    assert default_budget(10) == 2
-    assert default_budget(11) == 3
-    assert default_budget(1) == 1
-    assert default_budget(4) == 1
-    assert default_budget(3, ratio=0.5) == 2
+    # oracle labels are built with the same budget the extractor selects under
+    assert selection_budget(10, 0.20) == 2
+    assert selection_budget(11, 0.20) == 3
+    assert selection_budget(1, 0.20) == 1
+    assert selection_budget(4, 0.20) == 1
+    assert selection_budget(3, 0.5) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +240,16 @@ def test_oracle_matches_brute_force_on_random_docs(seed):
     brute = _brute_force_best(doc, budget)
     # greedy is not optimal in general, but must never beat the true optimum
     assert greedy <= brute + 1e-12
+
+
+@given(st.lists(st.lists(words, min_size=1, max_size=6), min_size=1, max_size=5),
+       token_lists, st.data())
+def test_extract_f1_is_the_sum_of_rouge_n_f1(sents, ref, data):
+    # exact equality: the oracle's score and rouge_n share one arithmetic path
+    doc = doc_from_sections("d", [[" ".join(s) for s in sents]], reference=" ".join(ref))
+    sel = data.draw(st.lists(st.sampled_from(range(len(sents))), unique=True))
+    cand = [tok for i in sorted(sel) for tok in sents[i]]
+    assert extract_f1(doc, sel) == rouge_n(cand, ref, 1).f1 + rouge_n(cand, ref, 2).f1
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -303,12 +305,15 @@ def test_evaluate_split_leaves_gradients_untouched():
 
 
 def test_train_config_mirrors_run_config_fields():
-    cfg = _tiny_cfg()
+    run_fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    train_fields = dataclasses.fields(TrainConfig)
+    assert {f.name for f in train_fields} <= set(run_fields)
+    for f in train_fields:
+        assert f.default == run_fields[f.name].default, f.name
+    cfg = _tiny_cfg(lr_scale=0.5, trigram_threshold=2, seed=7)
     tcfg = TrainConfig.from_run_config(cfg)
-    assert tcfg.lr_scale == cfg.lr_scale
-    assert tcfg.accumulation_steps == cfg.accumulation_steps
-    assert tcfg.trigram_threshold == cfg.trigram_threshold
-    assert tcfg.seed == cfg.seed
+    for f in train_fields:
+        assert getattr(tcfg, f.name) == getattr(cfg, f.name), f.name
 
 
 # ---------------------------------------------------------------------------
