@@ -12,9 +12,9 @@ Pad positions are excluded with additive -1e9 scores before the softmax, and
 pad rows are zeroed after it: a softmax over an all-masked row is uniform
 noise, so an explicit validity multiply is required.
 
-A dense O(n²) implementation of the exact same semantics
-(:func:`full_attention_reference`) serves as the oracle in tests and as the
-quadratic baseline in benchmarks.
+The sliding view and the sparse layer run one path (:func:`_attention`);
+:func:`full_attention_reference` is a dense O(n²) form written out on its
+own, the oracle in tests and the quadratic baseline in benchmarks.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ class AttentionMask:
     """
 
     values: np.ndarray
-    doc_lengths: tuple[int, ...]
     window: int
     padded_len: int
 
@@ -82,12 +81,7 @@ def build_attention_mask(
                         f"doc {b}: global position {p} outside document of length {doc_lengths[b]}"
                     )
                 values[b, p] = 2
-    return AttentionMask(
-        values=values,
-        doc_lengths=tuple(int(n) for n in doc_lengths),
-        window=window,
-        padded_len=padded_len,
-    )
+    return AttentionMask(values=values, window=window, padded_len=padded_len)
 
 
 def select_global(n: int, ratio_percent: float, policy: str = "stride", seed: int = 0) -> list[int]:
@@ -186,27 +180,21 @@ def _check_inputs(x: ad.Tensor, mask: AttentionMask, window: int, params: Attent
 
 
 def _banded_rows(
-    q: ad.Tensor,
-    k: ad.Tensor,
-    v: ad.Tensor,
-    mask_vals: np.ndarray,
-    window: int,
-    global_cols: np.ndarray | None,
+    q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, mask_vals: np.ndarray, window: int, glob: np.ndarray
 ) -> ad.Tensor:
     """Chunked band attention for one head: w query rows vs a 3w key span.
 
-    When global_cols is given those columns are removed from the band and
-    appended as extra targets for every row (so band ∩ global never double
-    counts).  Pad rows come out as zeros.
+    The glob columns are removed from the band and appended as extra targets
+    for every row (so band ∩ global never double counts).  Pad rows come out
+    as zeros.
     """
     n_pad = q.shape[0]
     valid = mask_vals > 0
     band_ok = valid.copy()
-    extra = global_cols is not None and global_cols.size > 0
-    if extra:
-        band_ok[global_cols] = False
-        k_glob_cols = ad.gather_rows(k, global_cols)
-        v_glob_cols = ad.gather_rows(v, global_cols)
+    if glob.size:
+        band_ok[glob] = False
+        k_glob_cols = ad.gather_rows(k, glob)
+        v_glob_cols = ad.gather_rows(v, glob)
 
     positions = np.arange(n_pad)
     chunks = []
@@ -219,41 +207,59 @@ def _banded_rows(
         ) & band_ok[None, klo:khi]
         scores = ad.matmul(ad.narrow(q, 0, lo, window), ad.transpose(ad.narrow(k, 0, klo, span)))
         scores = ad.add(scores, ad.Tensor(np.where(in_band, 0.0, NEG_INF)))
-        if extra:
+        if glob.size:
             scores = ad.concat(
                 [scores, ad.matmul(ad.narrow(q, 0, lo, window), ad.transpose(k_glob_cols))], axis=1
             )
         probs = ad.softmax(scores, axis=1)
         out = ad.matmul(ad.narrow(probs, 1, 0, span), ad.narrow(v, 0, klo, span))
-        if extra:
-            out = ad.add(
-                out,
-                ad.matmul(ad.narrow(probs, 1, span, int(global_cols.size)), v_glob_cols),
-            )
+        if glob.size:
+            out = ad.add(out, ad.matmul(ad.narrow(probs, 1, span, int(glob.size)), v_glob_cols))
         chunks.append(out)
     banded = chunks[0] if len(chunks) == 1 else ad.concat(chunks, axis=0)
     return ad.mul(banded, ad.Tensor(valid.astype(np.float64)[:, None]))
 
 
-def _head_projections(x: ad.Tensor, head: HeadParams) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor]:
-    d_head = head.query.out_features
-    q = ad.scale(head.query(x), 1.0 / math.sqrt(d_head))
-    return q, head.key(x), head.value(x)
+def _attention(
+    x: ad.Tensor, mask: AttentionMask, params: AttentionParams, heads: int, window: int, glob: np.ndarray
+) -> ad.Tensor:
+    """The one sparse attention path behind both public sparse forms.
+
+    Per head, every row attends to its chunked band plus the glob columns;
+    rows in glob then replace that output with one over all valid positions
+    through the separate global projections.  The heads are merged,
+    output-projected and pad rows zeroed.
+    """
+    _check_inputs(x, mask, window, params, heads)
+    mask_vals = mask.values[0]
+    valid = mask_vals > 0
+    inv_sqrt_d = 1.0 / math.sqrt(params.heads[0].query.out_features)
+
+    per_head = []
+    for head in params.heads:
+        q = ad.scale(head.query(x), inv_sqrt_d)
+        out = _banded_rows(q, head.key(x), head.value(x), mask_vals, window, glob)
+        if glob.size:
+            q_glob = ad.scale(head.global_query(ad.gather_rows(x, glob)), inv_sqrt_d)
+            scores = ad.matmul(q_glob, ad.transpose(head.global_key(x)))
+            scores = ad.add(scores, ad.Tensor(np.where(valid, 0.0, NEG_INF)[None, :]))
+            glob_out = ad.matmul(ad.softmax(scores, axis=1), head.global_value(x))
+            keep_local = valid.copy()
+            keep_local[glob] = False
+            out = ad.add(
+                ad.mul(out, ad.Tensor(keep_local.astype(np.float64)[:, None])),
+                ad.scatter_rows(glob_out, glob, mask.padded_len),
+            )
+        per_head.append(out)
+    merged = per_head[0] if heads == 1 else ad.concat(per_head, axis=1)
+    return ad.mul(params.output(merged), ad.Tensor(valid.astype(np.float64)[:, None]))
 
 
 def sliding_window_attention(
     x: ad.Tensor, mask: AttentionMask, params: AttentionParams, window: int, heads: int
 ) -> ad.Tensor:
-    """Pure banded local attention (no global handling), output-projected."""
-    _check_inputs(x, mask, window, params, heads)
-    mask_vals = mask.values[0]
-    per_head = []
-    for head in params.heads:
-        q, k, v = _head_projections(x, head)
-        per_head.append(_banded_rows(q, k, v, mask_vals, window, global_cols=None))
-    merged = per_head[0] if heads == 1 else ad.concat(per_head, axis=1)
-    out = params.output(merged)
-    return ad.mul(out, ad.Tensor((mask_vals > 0).astype(np.float64)[:, None]))
+    """Pure banded local attention at `window`; global marks count as local."""
+    return _attention(x, mask, params, heads, window, np.zeros(0, dtype=np.int64))
 
 
 def global_attention(x: ad.Tensor, mask: AttentionMask, params: AttentionParams, heads: int) -> ad.Tensor:
@@ -264,53 +270,17 @@ def global_attention(x: ad.Tensor, mask: AttentionMask, params: AttentionParams,
     global projections.  With no global rows this reduces exactly to
     :func:`sliding_window_attention`.
     """
-    _check_inputs(x, mask, mask.window, params, heads)
-    mask_vals = mask.values[0]
-    n_pad = mask.padded_len
-    valid = mask_vals > 0
-    glob = np.nonzero(mask_vals == 2)[0]
-    d_head = params.heads[0].query.out_features
-
-    per_head = []
-    for head in params.heads:
-        q, k, v = _head_projections(x, head)
-        local_out = _banded_rows(q, k, v, mask_vals, mask.window, global_cols=glob if glob.size else None)
-        if glob.size:
-            q_glob = ad.scale(head.global_query(ad.gather_rows(x, glob)), 1.0 / math.sqrt(d_head))
-            k_glob = head.global_key(x)
-            v_glob = head.global_value(x)
-            scores = ad.matmul(q_glob, ad.transpose(k_glob))
-            scores = ad.add(scores, ad.Tensor(np.where(valid, 0.0, NEG_INF)[None, :]))
-            glob_out = ad.matmul(ad.softmax(scores, axis=1), v_glob)
-            keep_local = (valid & (mask_vals != 2)).astype(np.float64)[:, None]
-            combined = ad.add(
-                ad.mul(local_out, ad.Tensor(keep_local)),
-                ad.scatter_rows(glob_out, glob, n_pad),
-            )
-        else:
-            combined = local_out
-        per_head.append(combined)
-    merged = per_head[0] if heads == 1 else ad.concat(per_head, axis=1)
-    out = params.output(merged)
-    return ad.mul(out, ad.Tensor(valid.astype(np.float64)[:, None]))
-
-
-def transformer_layer(h_prev: ad.Tensor, mask: AttentionMask, params: AttentionParams) -> ad.Tensor:
-    """One layer, keeping the residual-of-normalized-sublayer order:
-
-    h~ = h_prev + LayerNorm(SparseAttention(h_prev))
-    h  = h~ + LayerNorm(FFN(h~)),  FFN = Linear → ReLU → Linear
-    """
-    attn = global_attention(h_prev, mask, params, len(params.heads))
-    h_mid = ad.add(h_prev, ad.layer_norm(attn, params.attn_gain, params.attn_bias))
-    ff = params.ffn_outer(ad.relu(params.ffn_inner(h_mid)))
-    return ad.add(h_mid, ad.layer_norm(ff, params.ffn_gain, params.ffn_bias))
+    return _attention(x, mask, params, heads, mask.window, np.nonzero(mask.values[0] == 2)[0])
 
 
 def full_attention_reference(
     x: ad.Tensor, mask: AttentionMask, params: AttentionParams, heads: int
 ) -> ad.Tensor:
-    """Dense O(n²) attention with identical semantics; oracle/baseline only."""
+    """Dense O(n²) attention with identical semantics; oracle/baseline only.
+
+    Kept apart from :func:`_attention`, global branch included, so tests
+    check the sparse path against independent code.
+    """
     _check_inputs(x, mask, mask.window, params, heads)
     mask_vals = mask.values[0]
     n_pad = mask.padded_len
@@ -327,9 +297,9 @@ def full_attention_reference(
 
     per_head = []
     for head in params.heads:
-        q, k, v = _head_projections(x, head)
-        scores = ad.add(ad.matmul(q, ad.transpose(k)), ad.Tensor(local_additive))
-        local_out = ad.matmul(ad.softmax(scores, axis=1), v)
+        q = ad.scale(head.query(x), 1.0 / math.sqrt(d_head))
+        scores = ad.add(ad.matmul(q, ad.transpose(head.key(x))), ad.Tensor(local_additive))
+        local_out = ad.matmul(ad.softmax(scores, axis=1), head.value(x))
         local_out = ad.mul(local_out, ad.Tensor(valid.astype(np.float64)[:, None]))
         if glob.size:
             q_glob = ad.scale(head.global_query(ad.gather_rows(x, glob)), 1.0 / math.sqrt(d_head))
@@ -337,13 +307,21 @@ def full_attention_reference(
             g_scores = ad.add(g_scores, ad.Tensor(np.where(valid, 0.0, NEG_INF)[None, :]))
             glob_out = ad.matmul(ad.softmax(g_scores, axis=1), head.global_value(x))
             keep_local = (valid & ~glob_flags).astype(np.float64)[:, None]
-            combined = ad.add(
-                ad.mul(local_out, ad.Tensor(keep_local)),
-                ad.scatter_rows(glob_out, glob, n_pad),
+            local_out = ad.add(
+                ad.mul(local_out, ad.Tensor(keep_local)), ad.scatter_rows(glob_out, glob, n_pad)
             )
-        else:
-            combined = local_out
-        per_head.append(combined)
+        per_head.append(local_out)
     merged = per_head[0] if heads == 1 else ad.concat(per_head, axis=1)
-    out = params.output(merged)
-    return ad.mul(out, ad.Tensor(valid.astype(np.float64)[:, None]))
+    return ad.mul(params.output(merged), ad.Tensor(valid.astype(np.float64)[:, None]))
+
+
+def transformer_layer(h_prev: ad.Tensor, mask: AttentionMask, params: AttentionParams) -> ad.Tensor:
+    """One layer, keeping the residual-of-normalized-sublayer order:
+
+    h~ = h_prev + LayerNorm(SparseAttention(h_prev))
+    h  = h~ + LayerNorm(FFN(h~)),  FFN = Linear → ReLU → Linear
+    """
+    attn = global_attention(h_prev, mask, params, len(params.heads))
+    h_mid = ad.add(h_prev, ad.layer_norm(attn, params.attn_gain, params.attn_bias))
+    ff = params.ffn_outer(ad.relu(params.ffn_inner(h_mid)))
+    return ad.add(h_mid, ad.layer_norm(ff, params.ffn_gain, params.ffn_bias))

@@ -78,9 +78,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _non_scalar(self)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -137,23 +134,18 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.nd
 # buffer (id(tensor) -> (tensor, grad)) instead of the persistent .grad
 # fields.  Only graph leaves have the pass result added into .grad at the
 # end, so repeated backward calls accumulate exactly one dLoss/dLeaf each.
+# _accumulate runs only inside the closures a sweep calls, so it is always set.
 _pass_grads: dict[int, tuple["Tensor", np.ndarray]] | None = None
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    if _pass_grads is not None:
-        entry = _pass_grads.get(id(t))
-        if entry is None:
-            _pass_grads[id(t)] = (t, np.array(g, dtype=np.float64, copy=True))
-        else:
-            _pass_grads[id(t)] = (t, entry[1] + g)
-        return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+    entry = _pass_grads.get(id(t))
+    if entry is None:
+        _pass_grads[id(t)] = (t, np.array(g, dtype=np.float64, copy=True))
     else:
-        t.grad = t.grad + g
+        _pass_grads[id(t)] = (t, entry[1] + g)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

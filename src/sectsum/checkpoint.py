@@ -4,7 +4,9 @@ Layout: 8-byte magic, uint32 header length, JSON header
 {format_version, seed, config_hash}, then records sorted by name —
 uint16 name length, UTF-8 name, uint8 ndim, uint32 dims, raw little-endian
 float64 data.  Sorting makes the byte stream independent of construction
-order, so identical parameters always produce identical files.
+order, so identical parameters always produce identical files.  The loader
+refuses a record whose name is not UTF-8 or repeats an earlier name, or whose
+data holds a non-finite value, naming the record's byte offset.
 """
 
 from __future__ import annotations
@@ -87,7 +89,16 @@ def load_checkpoint(path: str | Path, *, expected_hash: str | None = None) -> tu
             if len(head) != 2:
                 raise CheckpointError(f"corrupt checkpoint: truncated record header at byte offset {pos}")
             (name_len,) = struct.unpack("<H", head)
-            name = _read_exact(fh, name_len, "parameter name").decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len, "parameter name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(
+                    f"corrupt checkpoint: name is not UTF-8 in record at byte offset {pos}"
+                ) from None
+            if name in params:
+                raise CheckpointError(
+                    f"corrupt checkpoint: duplicate name {name!r} in record at byte offset {pos}"
+                )
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, f"rank of {name}"))
             shape = tuple(
                 struct.unpack("<I", _read_exact(fh, 4, f"shape of {name}"))[0] for _ in range(ndim)
@@ -95,4 +106,8 @@ def load_checkpoint(path: str | Path, *, expected_hash: str | None = None) -> tu
             count = int(np.prod(shape, dtype=np.int64)) if shape else 1
             raw = _read_exact(fh, count * 8, f"data of {name}")
             params[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            if not np.isfinite(params[name]).all():
+                raise CheckpointError(
+                    f"corrupt checkpoint: non-finite value in {name!r}, record at byte offset {pos}"
+                )
     return params, header

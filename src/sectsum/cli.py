@@ -26,6 +26,7 @@ from .corpus import (
     LabeledDocument,
     ParseError,
     SchemaError,
+    claim_id,
     load_corpus,
     read_labels,
     tokenize,
@@ -237,6 +238,7 @@ def cmd_summarize(args) -> int:
 
 def _read_summaries(path: Path) -> tuple[dict[str, dict], dict | None]:
     records: dict[str, dict] = {}
+    first_line: dict[str, int] = {}
     header = None
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -255,7 +257,9 @@ def _read_summaries(path: Path) -> tuple[dict[str, dict], dict | None]:
             sents = obj["sentences"]
             if not isinstance(sents, list) or not all(isinstance(t, str) for t in sents):
                 raise SchemaError(f"summaries line {line_no}: sentences must be a list of strings")
-            records[str(obj["id"])] = obj
+            doc_id = str(obj["id"])
+            claim_id(first_line, doc_id, line_no, "summaries")
+            records[doc_id] = obj
     return records, header
 
 

@@ -285,9 +285,17 @@ def write_labels(
             fh.write(json.dumps({"id": doc_id, "labels": [int(x) for x in labels]}) + "\n")
 
 
+def claim_id(first_line: dict[str, int], doc_id: str, line_no: int, kind: str) -> None:
+    """Note the line that first gave doc_id in a `kind` file; a repeat is a SchemaError."""
+    if doc_id in first_line:
+        raise SchemaError(f"{kind} line {line_no}: duplicate id {doc_id!r} (first on line {first_line[doc_id]})")
+    first_line[doc_id] = line_no
+
+
 def read_labels(path: str | Path) -> tuple[dict[str, list[int]], dict | None]:
     """Read a labels JSONL file into {id: labels}, plus any artifact header."""
     labels: dict[str, list[int]] = {}
+    first_line: dict[str, int] = {}
     header = None
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -307,5 +315,7 @@ def read_labels(path: str | Path) -> tuple[dict[str, list[int]], dict | None]:
             vec = obj["labels"]
             if not isinstance(vec, list) or any(v not in (0, 1) for v in vec):
                 raise SchemaError(f"labels line {line_no}: labels must be a 0/1 list")
-            labels[str(obj["id"])] = [int(v) for v in vec]
+            doc_id = str(obj["id"])
+            claim_id(first_line, doc_id, line_no, "labels")
+            labels[doc_id] = [int(v) for v in vec]
     return labels, header

@@ -176,6 +176,21 @@ def test_sparse_with_globals_matches_dense_reference():
         np.testing.assert_allclose(sparse.data, dense.data, atol=1e-10, rtol=0)
 
 
+def test_sliding_and_global_forms_agree_bit_exactly():
+    """With no global rows the sparse layer is the sliding view, and the
+    sliding view treats global marks as local: both hold to the bit."""
+    for seed in range(40):
+        x, mask, params, heads = _rand_case(seed, with_globals=True)
+        n = int((mask.values[0] > 0).sum())
+        plain = build_attention_mask([n], mask.window)
+        with ad.no_grad():
+            sliding_marked = sliding_window_attention(x, mask, params, mask.window, heads)
+            sliding_plain = sliding_window_attention(x, plain, params, plain.window, heads)
+            global_plain = global_attention(x, plain, params, heads)
+        assert np.array_equal(global_plain.data, sliding_plain.data)
+        assert np.array_equal(sliding_marked.data, global_plain.data)
+
+
 def test_all_rows_global_matches_dense_reference():
     for seed in range(10):
         rng = np.random.default_rng(seed)

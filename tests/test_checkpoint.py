@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -86,8 +88,6 @@ def test_truncated_file_reports_offset(tmp_path):
 
 def test_garbled_header_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
-    import struct
-
     payload = b"{broken json"
     path.write_bytes(MAGIC + struct.pack("<I", len(payload)) + payload)
     with pytest.raises(CheckpointError, match="unreadable header"):
@@ -100,3 +100,43 @@ def test_empty_params_round_trip(tmp_path):
     loaded, header = load_checkpoint(path)
     assert loaded == {}
     assert header["seed"] == 3
+
+
+
+def _with_records(path, *records: bytes) -> list[int]:
+    """Write a header-only checkpoint plus raw records; return each record's byte offset."""
+    save_checkpoint({}, path, seed=0, config_hash="h")
+    data = path.read_bytes()
+    offsets = []
+    for rec in records:
+        offsets.append(len(data))
+        data += rec
+    path.write_bytes(data)
+    return offsets
+
+
+def _record(name: bytes, values) -> bytes:
+    data = np.asarray(values, dtype="<f8")
+    return struct.pack("<H", len(name)) + name + struct.pack("<BI", 1, data.size) + data.tobytes()
+
+
+def test_duplicate_record_name_reports_offset(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _, second = _with_records(path, _record(b"w", [1.0, 2.0]), _record(b"w", [3.0, 4.0]))
+    with pytest.raises(CheckpointError, match=f"duplicate name 'w' in record at byte offset {second}$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_reports_offset(tmp_path, bad):
+    path = tmp_path / "model.ckpt"
+    _, second = _with_records(path, _record(b"a", [1.0]), _record(b"b", [0.5, bad]))
+    with pytest.raises(CheckpointError, match=f"non-finite value in 'b', record at byte offset {second}$"):
+        load_checkpoint(path)
+
+
+def test_non_utf8_name_reports_offset(tmp_path):
+    path = tmp_path / "model.ckpt"
+    (first,) = _with_records(path, _record(b"\xffw", [1.0]))
+    with pytest.raises(CheckpointError, match=f"name is not UTF-8 in record at byte offset {first}$"):
+        load_checkpoint(path)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -274,6 +275,17 @@ def test_train_rejects_labels_with_wrong_hash(pipeline, tmp_path, capsys):
     assert "different configuration" in capsys.readouterr().err
 
 
+def test_train_rejects_labels_with_duplicate_id(pipeline, tmp_path, capsys):
+    lines = pipeline["labels"].read_text().splitlines()
+    dup = tmp_path / "dup_labels.jsonl"
+    dup.write_text("\n".join(lines + [lines[1]]) + "\n")
+    rc = main(["train", "--config", str(pipeline["cfg"]), "--corpus", str(pipeline["corpus"]),
+               "--labels", str(dup), "--checkpoint-out", str(tmp_path / "m.ckpt")])
+    assert rc == 1
+    doc_id = json.loads(lines[1])["id"]
+    assert f"labels line {len(lines) + 1}: duplicate id {doc_id!r} (first on line 2)" in capsys.readouterr().err
+
+
 def test_summarize_output_format_and_budget(pipeline, tmp_path, capsys):
     ckpt = pipeline["dir"] / "model.ckpt"
     assert main(["train", "--config", str(pipeline["cfg"]), "--corpus", str(pipeline["corpus"]),
@@ -304,6 +316,40 @@ def test_summarize_refuses_checkpoint_from_other_config(pipeline, tmp_path, caps
                "--checkpoint", str(ckpt), "--out", str(tmp_path / "s.jsonl"), "--seed", "99"])
     assert rc == 1
     assert "config hash mismatch" in capsys.readouterr().err
+
+
+def _first_record_span(data: bytes) -> tuple[int, int]:
+    """Byte range of a checkpoint's first record: after magic, header length and header."""
+    start = 12 + int.from_bytes(data[8:12], "little")
+    rank_at = start + 2 + int.from_bytes(data[start:start + 2], "little")
+    ndim = data[rank_at]
+    dims = struct.unpack(f"<{ndim}I", data[rank_at + 1:rank_at + 1 + 4 * ndim])
+    return start, rank_at + 1 + 4 * ndim + 8 * int(np.prod(dims))
+
+
+@pytest.mark.parametrize("corruption", ["duplicate name", "non-finite value", "name is not UTF-8"])
+def test_summarize_refuses_corrupt_checkpoint_records(pipeline, tmp_path, capsys, corruption):
+    ckpt = pipeline["dir"] / "model.ckpt"
+    assert main(["train", "--config", str(pipeline["cfg"]), "--corpus", str(pipeline["corpus"]),
+                 "--labels", str(pipeline["labels"]), "--checkpoint-out", str(ckpt)]) == 0
+    data = bytearray(ckpt.read_bytes())
+    start, end = _first_record_span(data)
+    offset = start
+    if corruption == "duplicate name":
+        offset = len(data)
+        data += data[start:end]
+    elif corruption == "non-finite value":
+        data[end - 8:end] = struct.pack("<d", float("nan"))
+    else:
+        data[start + 2] = 0xFF
+    ckpt.write_bytes(bytes(data))
+    capsys.readouterr()
+    rc = main(["summarize", "--config", str(pipeline["cfg"]), "--corpus", str(pipeline["corpus"]),
+               "--checkpoint", str(ckpt), "--out", str(tmp_path / "s.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert corruption in err and f"record at byte offset {offset}" in err
+    assert "Traceback" not in err
 
 
 def test_evaluate_perfect_summaries_score_one(tmp_path, capsys, cfg_file):
@@ -353,6 +399,23 @@ def test_evaluate_rejects_malformed_summaries_line(tmp_path, capsys, cfg_file, b
                "--corpus", str(corpus), "--out", str(tmp_path / "o.tsv")])
     assert rc == 1
     assert message in capsys.readouterr().err
+
+
+def test_evaluate_rejects_duplicate_summary_id(tmp_path, capsys, cfg_file):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(corpus, [doc_from_sections("d0", [["alpha beta", "gamma"]], reference="alpha beta")])
+    summaries = tmp_path / "summaries.jsonl"
+    summaries.write_text(
+        json.dumps({"artifact": "summaries"}) + "\n"
+        + json.dumps({"id": "d0", "sentences": ["alpha beta"]}) + "\n"
+        + json.dumps({"id": "d0", "sentences": ["gamma"]}) + "\n"
+    )
+    out = tmp_path / "o.tsv"
+    rc = main(["evaluate", "--config", str(cfg_file), "--summaries", str(summaries),
+               "--corpus", str(corpus), "--out", str(out)])
+    assert rc == 1
+    assert "summaries line 3: duplicate id 'd0' (first on line 2)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_rejects_summary_for_unknown_document(tmp_path, capsys, cfg_file):

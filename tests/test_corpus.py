@@ -243,3 +243,11 @@ def test_read_labels_rejects_bad_rows(tmp_path):
     path.write_text("not json\n", encoding="utf-8")
     with pytest.raises(ParseError):
         read_labels(path)
+
+
+def test_read_labels_rejects_duplicate_id(tmp_path):
+    path = tmp_path / "labels.jsonl"
+    write_labels([("a", [1, 0]), ("b", [0]), ("a", [0, 1])], path, header={"config_hash": "h"})
+    # line 1 is the header, so the rows sit on lines 2-4
+    with pytest.raises(SchemaError, match=r"^labels line 4: duplicate id 'a' \(first on line 2\)$"):
+        read_labels(path)
