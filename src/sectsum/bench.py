@@ -22,6 +22,7 @@ from .attention import (
     init_attention_params,
     select_global,
 )
+from .corpus import write_table
 from .rouge import stable_seed
 
 
@@ -118,10 +119,9 @@ def doubling_ratios(points: list[BenchPoint], attr: str) -> list[tuple[int, int,
 
 
 def write_bench_tsv(points: list[BenchPoint], path, config_hash: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        fh.write("n\tsparse_ms\tdense_ms\tsparse_peak_bytes\tdense_peak_bytes\n")
-        for p in points:
-            fh.write(
-                f"{p.n}\t{p.sparse_ms:.3f}\t{p.dense_ms:.3f}\t{p.sparse_peak_bytes}\t{p.dense_peak_bytes}\n"
-            )
+    columns = ["n", "sparse_ms", "dense_ms", "sparse_peak_bytes", "dense_peak_bytes"]
+    rows = (
+        [str(p.n), f"{p.sparse_ms:.3f}", f"{p.dense_ms:.3f}", str(p.sparse_peak_bytes), str(p.dense_peak_bytes)]
+        for p in points
+    )
+    write_table(path, config_hash, columns, rows, "\t")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
@@ -19,19 +18,19 @@ import numpy as np
 
 from . import autodiff as ad
 from .bench import doubling_ratios, run_bench, write_bench_tsv
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, check_artifact_hash, model_hash, resolve_config
 from .corpus import (
     CorpusError,
     LabeledDocument,
-    ParseError,
-    SchemaError,
-    claim_id,
     load_corpus,
     read_labels,
+    read_summaries,
     tokenize,
     write_corpus,
     write_labels,
+    write_summaries,
+    write_table,
 )
 from .extractor import SelectionConfig, select_sentences, selection_budget
 from .model import Model
@@ -187,10 +186,6 @@ def cmd_train(args) -> int:
         vec = labels_map.get(doc.id)
         if vec is None:
             missing.append(doc.id)
-        elif len(vec) != doc.n_sentences:
-            raise CorpusError(
-                f"doc {doc.id}: {len(vec)} labels for {doc.n_sentences} sentences"
-            )
         else:
             dataset.append(LabeledDocument(doc, tuple(vec)))
     if missing:
@@ -219,53 +214,27 @@ def cmd_summarize(args) -> int:
     model.load_state(arrays)
     docs = _load_corpus_strict(args.corpus, cfg, "corpus")
     sel = SelectionConfig(budget_ratio=cfg.budget_ratio, trigram_threshold=cfg.trigram_threshold)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"artifact": "summaries", "config_hash": model.hash}) + "\n")
-        with ad.no_grad():
-            for doc in sorted(docs, key=lambda d: d.id):
-                scores = model.forward(doc)
-                picked = select_sentences(doc, scores, sel)
-                record = {
-                    "id": doc.id,
-                    "selected": picked,
-                    "sentences": [doc.sentences[i].text for i in picked],
-                    "scores": [round(float(scores.values[i]), 6) for i in picked],
-                }
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+    def records():
+        for doc in sorted(docs, key=lambda d: d.id):
+            scores = model.forward(doc)
+            picked = select_sentences(doc, scores, sel)
+            yield {
+                "id": doc.id,
+                "selected": picked,
+                "sentences": [doc.sentences[i].text for i in picked],
+                "scores": [round(float(scores.values[i]), 6) for i in picked],
+            }
+
+    with ad.no_grad():
+        write_summaries(records(), args.out, model.hash)
     print(f"summarize: wrote {len(docs)} summaries to {args.out}")
     return 0
 
 
-def _read_summaries(path: Path) -> tuple[dict[str, dict], dict | None]:
-    records: dict[str, dict] = {}
-    first_line: dict[str, int] = {}
-    header = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"summaries line {line_no}: invalid JSON ({e.msg})") from None
-            if line_no == 1 and isinstance(obj, dict) and "artifact" in obj:
-                header = obj
-                continue
-            if not isinstance(obj, dict) or "id" not in obj or "sentences" not in obj:
-                raise SchemaError(f"summaries line {line_no}: expected {{id, sentences, ...}}")
-            sents = obj["sentences"]
-            if not isinstance(sents, list) or not all(isinstance(t, str) for t in sents):
-                raise SchemaError(f"summaries line {line_no}: sentences must be a list of strings")
-            doc_id = str(obj["id"])
-            claim_id(first_line, doc_id, line_no, "summaries")
-            records[doc_id] = obj
-    return records, header
-
-
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
-    summaries, header = _read_summaries(args.summaries)
+    summaries, header = read_summaries(args.summaries)
     check_artifact_hash((header or {}).get("config_hash"), cfg, "summaries file")
     docs = {d.id: d for d in _load_corpus_strict(args.corpus, cfg, "corpus")}
     missing = sorted(set(summaries) - set(docs))
@@ -284,11 +253,13 @@ def cmd_evaluate(args) -> int:
                 rouge_l(cand, ref).recall,
             )
         )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={model_hash(cfg)}\n")
-        fh.write("id\trouge1_recall\trouge2_recall\trougeL_recall\n")
-        for doc_id, r1, r2, rl in rows:
-            fh.write(f"{doc_id}\t{r1:.6f}\t{r2:.6f}\t{rl:.6f}\n")
+    write_table(
+        args.out,
+        model_hash(cfg),
+        ["id", "rouge1_recall", "rouge2_recall", "rougeL_recall"],
+        ([doc_id, f"{r1:.6f}", f"{r2:.6f}", f"{rl:.6f}"] for doc_id, r1, r2, rl in rows),
+        "\t",
+    )
     means = np.mean([[r1, r2, rl] for _, r1, r2, rl in rows], axis=0) if rows else np.zeros(3)
     print(
         f"evaluate: {len(rows)} docs, mean rouge1_recall={means[0]:.4f} "
@@ -343,10 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as e:
-        print(f"sectsum {args.command}: {e}", file=sys.stderr)
-        return 2
-    except (ConfigError, CorpusError, CheckpointError, TrainingError, ValueError) as e:
+    except (TrainingError, ValueError) as e:
         print(f"sectsum {args.command}: {e}", file=sys.stderr)
         return 1
     except OSError as e:

@@ -1,10 +1,12 @@
-"""Document data model, tokenization, JSONL ingestion and validation.
+"""Document data model, tokenization, validation, and the text artifact files.
 
 Documents arrive pre-split into sections and sentences (one JSON object per
 line); no sentence-boundary detection happens here.  All downstream stages
 (labeling, features, ROUGE) consume the token streams produced by
 :func:`tokenize`, so that rule is the single source of truth for what a
-"word" is.
+"word" is.  The corpus, labels and summaries JSONL files share one line
+reader and one writer; the metrics, scores and bench tables share
+:func:`write_table`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 log = logging.getLogger(__name__)
 
@@ -214,108 +216,149 @@ class LoadReport:
         return sum(len(d.sections) for d in self.documents)
 
 
-def _maybe_header(line: str) -> dict | None:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if isinstance(obj, dict) and HEADER_KEY in obj:
-        return obj
-    return None
+def _artifact_lines(path: str | Path, kind: str, header: dict) -> Iterator[tuple[int, str | ParseError]]:
+    """Yield (line number, stripped text) for each non-blank line of a JSONL artifact file.
+
+    A line-1 JSON object carrying HEADER_KEY is not yielded; its items go into
+    `header`.  A line that is not valid UTF-8 is yielded as a ParseError, in
+    place of its text, naming the file offset of its first bad byte.
+    """
+    prefix = f"{kind} " if kind else ""
+    offset = 0
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            start, offset = offset, offset + len(raw)
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                yield line_no, ParseError(
+                    f"{prefix}line {line_no}: not valid UTF-8 at byte offset {start + e.start}"
+                )
+                continue
+            if not line:
+                continue
+            if line_no == 1:
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError:
+                    obj = None
+                if isinstance(obj, dict) and HEADER_KEY in obj:
+                    header.update(obj)
+                    continue
+            yield line_no, line
+
+
+def _write_jsonl(path: str | Path, kind: str, header: dict | None, rows: Iterable[str]) -> None:
+    """Write the {HEADER_KEY: kind, **header} line (if header is given), then one serialized row per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(json.dumps({HEADER_KEY: kind, **header}, ensure_ascii=False) + "\n")
+        for row in rows:
+            fh.write(row + "\n")
+
+
+def write_table(path: str | Path, config_hash: str, columns: list[str],
+                rows: Iterable[Iterable[str]], sep: str) -> None:
+    """Write the config hash comment line, then the column row and the value rows, fields joined by sep."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# config_hash={config_hash}\n")
+        for row in [columns, *rows]:
+            fh.write(sep.join(row) + "\n")
 
 
 def load_corpus(path: str | Path, max_sentences: int | None = None) -> LoadReport:
     """Read a corpus JSONL file, tolerating bad lines.
 
-    Per-line failures are collected into report.problems rather than raised;
-    callers choose how strict to be.  A document whose id repeats an earlier
-    kept document's is a problem too, and only the first copy is kept.  An
-    optional artifact header on the first line is returned separately, never
-    treated as a document.
+    Per-line failures (undecodable bytes included) are collected into
+    report.problems rather than raised; callers choose how strict to be.  A
+    document whose id repeats an earlier kept document's is a problem too, and
+    only the first copy is kept.  An optional artifact header on the first
+    line is returned separately, never treated as a document.
     """
     report = LoadReport()
+    header: dict = {}
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line_no == 1:
-                header = _maybe_header(line)
-                if header is not None:
-                    report.header = header
-                    continue
-            try:
-                doc = parse_document(line, line_no)
-            except CorpusError as e:
-                report.problems.append(str(e))
-                continue
-            violations = validate(doc)
-            if violations:
-                report.problems.append(f"line {line_no}: " + "; ".join(violations))
-                continue
-            if doc.id in first_line:
-                report.problems.append(
-                    f"line {line_no}: duplicate document id {doc.id!r} (first on line {first_line[doc.id]})"
-                )
-                continue
-            first_line[doc.id] = line_no
-            if max_sentences is not None and doc.n_sentences > max_sentences:
-                doc = truncate_document(doc, max_sentences)
-                report.truncated += 1
-            report.documents.append(doc)
+    for line_no, line in _artifact_lines(path, "", header):
+        if isinstance(line, ParseError):
+            report.problems.append(str(line))
+            continue
+        try:
+            doc = parse_document(line, line_no)
+        except CorpusError as e:
+            report.problems.append(str(e))
+            continue
+        violations = validate(doc)
+        if violations:
+            report.problems.append(f"line {line_no}: " + "; ".join(violations))
+            continue
+        if doc.id in first_line:
+            report.problems.append(
+                f"line {line_no}: duplicate document id {doc.id!r} (first on line {first_line[doc.id]})"
+            )
+            continue
+        first_line[doc.id] = line_no
+        if max_sentences is not None and doc.n_sentences > max_sentences:
+            doc = truncate_document(doc, max_sentences)
+            report.truncated += 1
+        report.documents.append(doc)
+    report.header = header or None
     return report
 
 
 def write_corpus(docs: Iterable[Document], path: str | Path, header: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(json.dumps({HEADER_KEY: "corpus", **header}, ensure_ascii=False) + "\n")
-        for doc in docs:
-            fh.write(serialize_document(doc) + "\n")
+    _write_jsonl(path, "corpus", header, (serialize_document(doc) for doc in docs))
 
 
 def write_labels(
     labeled: Iterable[tuple[str, Iterable[int]]], path: str | Path, header: dict | None = None
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(json.dumps({HEADER_KEY: "labels", **header}, ensure_ascii=False) + "\n")
-        for doc_id, labels in labeled:
-            fh.write(json.dumps({"id": doc_id, "labels": [int(x) for x in labels]}) + "\n")
+    rows = (json.dumps({"id": doc_id, "labels": [int(x) for x in labels]}) for doc_id, labels in labeled)
+    _write_jsonl(path, "labels", header, rows)
 
 
-def claim_id(first_line: dict[str, int], doc_id: str, line_no: int, kind: str) -> None:
-    """Note the line that first gave doc_id in a `kind` file; a repeat is a SchemaError."""
-    if doc_id in first_line:
-        raise SchemaError(f"{kind} line {line_no}: duplicate id {doc_id!r} (first on line {first_line[doc_id]})")
-    first_line[doc_id] = line_no
+def write_summaries(records: Iterable[dict], path: str | Path, config_hash: str) -> None:
+    """Write a summaries file: header, then one {id, selected, sentences, scores} row per record."""
+    rows = (json.dumps(record, ensure_ascii=False) for record in records)
+    _write_jsonl(path, "summaries", {"config_hash": config_hash}, rows)
+
+
+def _read_records(
+    path: str | Path, kind: str, key: str, valid: Callable[[object], bool], shape: str
+) -> tuple[dict[str, dict], dict | None]:
+    """Read a `kind` JSONL file into {id: record}, plus any artifact header; raise on the first bad line.
+
+    Every record must be a JSON object with "id" and a list `key` whose items
+    all pass `valid`; an id may appear only once.
+    """
+    records: dict[str, dict] = {}
+    first_line: dict[str, int] = {}
+    header: dict = {}
+    for line_no, line in _artifact_lines(path, kind, header):
+        if isinstance(line, ParseError):
+            raise line
+        where = f"{kind} line {line_no}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{where}: invalid JSON ({e.msg})") from None
+        if not isinstance(obj, dict) or "id" not in obj or key not in obj:
+            raise SchemaError(f"{where}: expected {{id, {key}, ...}}")
+        if not isinstance(obj[key], list) or not all(valid(v) for v in obj[key]):
+            raise SchemaError(f"{where}: {key} must be {shape}")
+        doc_id = str(obj["id"])
+        if doc_id in first_line:
+            raise SchemaError(f"{where}: duplicate id {doc_id!r} (first on line {first_line[doc_id]})")
+        first_line[doc_id] = line_no
+        records[doc_id] = obj
+    return records, header or None
 
 
 def read_labels(path: str | Path) -> tuple[dict[str, list[int]], dict | None]:
     """Read a labels JSONL file into {id: labels}, plus any artifact header."""
-    labels: dict[str, list[int]] = {}
-    first_line: dict[str, int] = {}
-    header = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line_no == 1:
-                header = _maybe_header(line)
-                if header is not None:
-                    continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"labels line {line_no}: invalid JSON ({e.msg})") from None
-            if not isinstance(obj, dict) or "id" not in obj or "labels" not in obj:
-                raise SchemaError(f"labels line {line_no}: expected {{id, labels}}")
-            vec = obj["labels"]
-            if not isinstance(vec, list) or any(v not in (0, 1) for v in vec):
-                raise SchemaError(f"labels line {line_no}: labels must be a 0/1 list")
-            doc_id = str(obj["id"])
-            claim_id(first_line, doc_id, line_no, "labels")
-            labels[doc_id] = [int(v) for v in vec]
-    return labels, header
+    records, header = _read_records(path, "labels", "labels", lambda v: v in (0, 1), "a 0/1 list")
+    return {doc_id: [int(v) for v in rec["labels"]] for doc_id, rec in records.items()}, header
+
+
+def read_summaries(path: str | Path) -> tuple[dict[str, dict], dict | None]:
+    """Read a summaries JSONL file into {id: record}, plus any artifact header."""
+    return _read_records(path, "summaries", "sentences", lambda t: isinstance(t, str), "a list of strings")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import RunConfig
-from .corpus import LabeledDocument, tokenize
+from .corpus import LabeledDocument, tokenize, write_table
 from .extractor import SelectionConfig, SentenceScores, select_sentences
 from .model import Model
 from .rouge import CandidateSet, rouge_l, rouge_n, sample_candidates, stable_seed
@@ -135,10 +135,8 @@ def sgd_step(params, lr: float) -> None:
 @dataclass
 class TrainResult:
     metrics: list[dict] = field(default_factory=list)
-    train_ids: list[str] = field(default_factory=list)
     holdout_ids: list[str] = field(default_factory=list)
     updates: int = 0
-    full_batch_updates: int = 0
     flush_updates: int = 0
 
 
@@ -195,18 +193,14 @@ def evaluate_split(model: Model, items: list[LabeledDocument], tcfg: TrainConfig
     }
 
 
-def train(model: Model, dataset: list[LabeledDocument], tcfg: TrainConfig,
-          on_epoch=None) -> TrainResult:
+def train(model: Model, dataset: list[LabeledDocument], tcfg: TrainConfig) -> TrainResult:
     """Run the full loop; deterministic given (dataset order, config, seed)."""
     if not dataset:
         raise ValueError("train: dataset is empty")
     train_set, holdout = split_holdout(dataset, tcfg.holdout_ratio, tcfg.seed)
     if not train_set:
         raise ValueError("train: holdout ratio left no training documents")
-    result = TrainResult(
-        train_ids=[it.document.id for it in train_set],
-        holdout_ids=[it.document.id for it in holdout],
-    )
+    result = TrainResult(holdout_ids=[it.document.id for it in holdout])
     params = model.parameters()
     d_model = model.cfg.d_model
     epoch_rng = np.random.default_rng(stable_seed(tcfg.seed, "epoch-order"))
@@ -225,8 +219,6 @@ def train(model: Model, dataset: list[LabeledDocument], tcfg: TrainConfig,
         result.updates += 1
         if flush:
             result.flush_updates += 1
-        else:
-            result.full_batch_updates += 1
         pending = 0
 
     for epoch in range(1, tcfg.epochs + 1):
@@ -261,18 +253,12 @@ def train(model: Model, dataset: list[LabeledDocument], tcfg: TrainConfig,
             "epoch %d: train loss %.4f%s", epoch, train_row["loss"],
             f", holdout loss {result.metrics[-1]['loss']:.4f}" if holdout else "",
         )
-        if on_epoch is not None:
-            on_epoch(epoch, result)
     return result
 
 
 def write_metrics_csv(rows: list[dict], path, config_hash: str) -> None:
     columns = ["epoch", "split", "loss", "rouge1_recall", "rouge2_recall", "rougeL_recall", "lr"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(c, "")) for c in columns) + "\n")
+    write_table(path, config_hash, columns, ([_fmt(row.get(c, "")) for c in columns] for row in rows), ",")
 
 
 def _fmt(value) -> str:

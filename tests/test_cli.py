@@ -5,11 +5,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sectsum
 from helpers import doc_from_sections, write_corpus_jsonl
 from sectsum.cli import _config_from_args, build_parser, main
 from sectsum.config import RunConfig, resolve_config
@@ -112,6 +117,30 @@ def test_duplicate_ids_fail_ingest_unless_lenient_and_every_reader(tmp_path, cap
                "--out", str(tmp_path / "labels.jsonl")])
     assert rc == 1
     assert "duplicate document id 'doc0'" in capsys.readouterr().err
+
+
+def _put_bad_byte(path, line_no: int) -> int:
+    """Insert byte 0xff after the first two bytes of line line_no (1-based); return its file offset."""
+    lines = path.read_bytes().split(b"\n")
+    offset = sum(len(line) + 1 for line in lines[: line_no - 1]) + 2
+    lines[line_no - 1] = lines[line_no - 1][:2] + b"\xff" + lines[line_no - 1][2:]
+    path.write_bytes(b"\n".join(lines))
+    return offset
+
+
+def test_ingest_lists_non_utf8_line_and_lenient_keeps_the_rest(tmp_path, capsys):
+    src, out = tmp_path / "raw.jsonl", tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(src, _docs(3))
+    offset = _put_bad_byte(src, 2)
+
+    assert main(["ingest", "--input", str(src), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"ingest: line 2: not valid UTF-8 at byte offset {offset}" in captured.err
+    assert "docs=2" in captured.out and "bad_lines=1" in captured.out
+
+    assert main(["ingest", "--input", str(src), "--out", str(out), "--lenient"]) == 0
+    assert "docs=2" in capsys.readouterr().out
+    assert [json.loads(line)["id"] for line in out.read_text().splitlines()[1:]] == ["doc0", "doc2"]
 
 
 def test_missing_input_file_exits_two(tmp_path, capsys):
@@ -263,6 +292,31 @@ def test_train_writes_checkpoint_and_metrics(pipeline, capsys):
     assert len(lines) == 2 + 2  # one train row per epoch, holdout_ratio 0
 
 
+def test_train_checkpoint_is_byte_identical_at_a_fixed_blas_thread_count(tmp_path):
+    # the reproducibility claim holds per BLAS thread count; the two counts may differ
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d_model = 64\nlayers = 1\nheads = 4\nwindow = 4\nmax_sentences = 48\n"
+                   "ffn_dim = 64\nepochs = 2\naccumulation_steps = 2\nholdout_ratio = 0\n")
+    raw, corpus, labels = tmp_path / "raw.jsonl", tmp_path / "corpus.jsonl", tmp_path / "labels.jsonl"
+    write_corpus_jsonl(raw, _docs(4, 48))
+    assert main(["ingest", "--config", str(cfg), "--input", str(raw), "--out", str(corpus)]) == 0
+    assert main(["label", "--config", str(cfg), "--corpus", str(corpus), "--out", str(labels)]) == 0
+    src = str(Path(sectsum.__file__).parent.parent)
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        ckpts = []
+        for run in ("a", "b"):
+            ckpt = tmp_path / f"t{threads}{run}.ckpt"
+            subprocess.run(
+                [sys.executable, "-m", "sectsum.cli", "train", "--config", str(cfg), "--corpus", str(corpus),
+                 "--labels", str(labels), "--checkpoint-out", str(ckpt)],
+                env=env, check=True, capture_output=True,
+            )
+            ckpts.append(ckpt.read_bytes())
+        assert ckpts[0] == ckpts[1], f"OPENBLAS_NUM_THREADS={threads}"
+
+
 def test_train_rejects_labels_with_wrong_hash(pipeline, tmp_path, capsys):
     bad = tmp_path / "bad_labels.jsonl"
     lines = pipeline["labels"].read_text().splitlines()
@@ -284,6 +338,32 @@ def test_train_rejects_labels_with_duplicate_id(pipeline, tmp_path, capsys):
     assert rc == 1
     doc_id = json.loads(lines[1])["id"]
     assert f"labels line {len(lines) + 1}: duplicate id {doc_id!r} (first on line 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["label", "train", "summarize", "evaluate"])
+def test_non_utf8_line_fails_each_reader_naming_line_and_offset(pipeline, tmp_path, capsys, command):
+    cfg, corpus, labels = (str(pipeline[k]) for k in ("cfg", "corpus", "labels"))
+    ckpt, summaries = tmp_path / "m.ckpt", tmp_path / "summaries.jsonl"
+    assert main(["train", "--config", cfg, "--corpus", corpus, "--labels", labels,
+                 "--checkpoint-out", str(ckpt)]) == 0
+    assert main(["summarize", "--config", cfg, "--corpus", corpus, "--checkpoint", str(ckpt),
+                 "--out", str(summaries)]) == 0
+    broken, where = {
+        "label": (pipeline["corpus"], "corpus: line"),
+        "train": (pipeline["labels"], "labels line"),
+        "summarize": (pipeline["corpus"], "corpus: line"),
+        "evaluate": (summaries, "summaries line"),
+    }[command]
+    offset = _put_bad_byte(broken, 3)
+    argv = {
+        "label": ["--corpus", corpus, "--out", str(tmp_path / "l.jsonl")],
+        "train": ["--corpus", corpus, "--labels", labels, "--checkpoint-out", str(tmp_path / "m2.ckpt")],
+        "summarize": ["--corpus", corpus, "--checkpoint", str(ckpt), "--out", str(tmp_path / "s2.jsonl")],
+        "evaluate": ["--summaries", str(summaries), "--corpus", corpus, "--out", str(tmp_path / "o.tsv")],
+    }[command]
+    capsys.readouterr()
+    assert main([command, "--config", cfg, *argv]) == 1
+    assert f"{where} 3: not valid UTF-8 at byte offset {offset}" in capsys.readouterr().err
 
 
 def test_summarize_output_format_and_budget(pipeline, tmp_path, capsys):

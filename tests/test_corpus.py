@@ -16,6 +16,7 @@ from sectsum.corpus import (
     load_corpus,
     parse_document,
     read_labels,
+    read_summaries,
     serialize_document,
     tokenize,
     truncate_document,
@@ -251,3 +252,37 @@ def test_read_labels_rejects_duplicate_id(tmp_path):
     # line 1 is the header, so the rows sit on lines 2-4
     with pytest.raises(SchemaError, match=r"^labels line 4: duplicate id 'a' \(first on line 2\)$"):
         read_labels(path)
+
+
+# ---------------------------------------------------------------------------
+# bytes that are not UTF-8
+# ---------------------------------------------------------------------------
+
+
+def test_load_corpus_reports_non_utf8_line_with_file_offset(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    first, last = (serialize_document(doc_from_sections(i, [["café au lait"]])) for i in ("é1", "é2"))
+    data = (first + "\n").encode("utf-8") + b'{"id": "x\xff"}\n' + (last + "\n").encode("utf-8")
+    path.write_bytes(data)
+    offset = data.index(b"\xff")  # a byte offset: line 1 has multi-byte characters
+    report = load_corpus(path)
+    assert [d.id for d in report.documents] == ["é1", "é2"]
+    assert report.problems == [f"line 2: not valid UTF-8 at byte offset {offset}"]
+
+
+def test_read_labels_names_non_utf8_line_and_offset(tmp_path):
+    path = tmp_path / "labels.jsonl"
+    write_labels([("é", [1, 0])], path, header={"config_hash": "h", "note": "é"})
+    data = path.read_bytes() + b'{"id": "b", "labels": [0]}\xfe\n'
+    path.write_bytes(data)
+    offset = data.index(b"\xfe")
+    with pytest.raises(ParseError, match=rf"^labels line 3: not valid UTF-8 at byte offset {offset}$"):
+        read_labels(path)
+
+
+def test_read_summaries_names_non_utf8_line_and_offset(tmp_path):
+    path = tmp_path / "summaries.jsonl"
+    # the bad byte sits on line 1, where a header would be
+    path.write_bytes(b'{"artifact": "summ\xc3ries"}\n{"id": "a", "sentences": []}\n')
+    with pytest.raises(ParseError, match=r"^summaries line 1: not valid UTF-8 at byte offset 18$"):
+        read_summaries(path)

@@ -213,7 +213,6 @@ def test_update_counts_full_batches_plus_epoch_flush():
     )
     result = train(model, data, tcfg)
     # 25 docs / accumulation 10 -> 2 full updates + 1 partial flush per epoch
-    assert result.full_batch_updates == 4
     assert result.flush_updates == 2
     assert result.updates == 6
     assert result.holdout_ids == []
@@ -281,7 +280,8 @@ def test_reinforced_mode_trains_without_non_finite_losses():
         holdout_ratio=0.0, reinforced=True, candidates_k=3, seed=2,
     )
     result = train(model, data, tcfg)
-    assert result.updates == result.full_batch_updates + result.flush_updates
+    # 6 docs / accumulation 4 -> 1 full update + 1 partial flush per epoch
+    assert (result.updates, result.flush_updates) == (4, 2)
     assert all(np.isfinite(row["loss"]) for row in result.metrics)
 
 
