@@ -129,21 +129,23 @@ def cmd_ingest(args) -> int:
     check_artifact_hash((report.header or {}).get("config_hash"), cfg, "input corpus")
     for problem in report.problems:
         print(f"ingest: {problem}", file=sys.stderr)
-    write_corpus(
-        report.documents,
-        args.out,
-        header={"config_hash": model_hash(cfg), "max_sentences": cfg.max_sentences},
-    )
     print(
         f"ingest: docs={len(report.documents)} sections={report.n_sections} "
         f"sentences={report.n_sentences} truncated={report.truncated} "
         f"bad_lines={len(report.problems)}"
     )
+    # a failed ingest writes nothing, so no later stage can take its output
     if not report.documents:
-        print("ingest: no valid documents", file=sys.stderr)
+        print(f"ingest: no valid documents, {args.out} not written", file=sys.stderr)
         return 1
     if report.problems and not args.lenient:
+        print(f"ingest: {args.out} not written (--lenient skips bad lines)", file=sys.stderr)
         return 1
+    write_corpus(
+        report.documents,
+        args.out,
+        header={"config_hash": model_hash(cfg), "max_sentences": cfg.max_sentences},
+    )
     return 0
 
 
@@ -219,10 +221,11 @@ def cmd_summarize(args) -> int:
         for doc in sorted(docs, key=lambda d: d.id):
             scores = model.forward(doc)
             picked = select_sentences(doc, scores, sel)
+            sentences = doc.sentences
             yield {
                 "id": doc.id,
                 "selected": picked,
-                "sentences": [doc.sentences[i].text for i in picked],
+                "sentences": [sentences[i].text for i in picked],
                 "scores": [round(float(scores.values[i]), 6) for i in picked],
             }
 

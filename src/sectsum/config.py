@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,23 +95,33 @@ def _parse_value(key: str, raw: str):
 
 
 def parse_config_file(path: str | Path) -> dict:
-    """Parse `key=value` lines ('#' comments and blank lines ignored)."""
+    """Parse `key=value` lines ('#' comments and blank lines ignored).
+
+    A byte that is not valid UTF-8 is reported with its line and file offset.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # newline=None ends a line at "\n", "\r\n" or a lone "\r", as text-mode files do
+        before = io.StringIO(data[: e.start].decode("utf-8"), newline=None).getvalue()
+        line_no = before.count("\n") + 1
+        raise ConfigError(f"{path} line {line_no}: not valid UTF-8 at byte offset {e.start}") from None
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path} line {line_no}: expected key=value, got {line!r}")
-            key, raw = line.split("=", 1)
-            key = key.strip()
-            if key not in _FIELDS:
-                raise ConfigError(f"{path} line {line_no}: unknown config key {key!r}")
-            try:
-                values[key] = _parse_value(key, raw)
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"{path} line {line_no}: bad value for {key}: {e}") from None
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path} line {line_no}: expected key=value, got {line!r}")
+        key, raw = line.split("=", 1)
+        key = key.strip()
+        if key not in _FIELDS:
+            raise ConfigError(f"{path} line {line_no}: unknown config key {key!r}")
+        try:
+            values[key] = _parse_value(key, raw)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{path} line {line_no}: bad value for {key}: {e}") from None
     return values
 
 

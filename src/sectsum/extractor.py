@@ -71,18 +71,15 @@ def predict_scores(
     return SentenceScores(ad.reshape(ad.sigmoid(logits), (shape[0],)))
 
 
-def shared_trigrams(candidate: Sentence, selected: list[Sentence]) -> int:
-    """Candidate trigram occurrences already present among selected sentences.
+def shared_trigrams(candidate: Sentence, pool: Counter) -> int:
+    """Candidate trigram occurrences already present in `pool`.
 
-    Multiset semantics both ways: the selected sentences' trigrams are summed
-    into one bag and the overlap is the intersection size.
+    `pool` is the summed trigram bag of the sentences selected so far;
+    multiset semantics both ways, so the overlap is the intersection size.
     """
     cand = ngrams(candidate.tokens, 3)
     if not cand:
         return 0
-    pool: Counter = Counter()
-    for s in selected:
-        pool.update(ngrams(s.tokens, 3))
     return sum((cand & pool).values())
 
 
@@ -106,12 +103,13 @@ def select_sentences(doc: Document, scores: SentenceScores | np.ndarray, cfg: Se
     budget = selection_budget(n, cfg.budget_ratio)
     order = sorted(range(n), key=lambda i: (-values[i], i))
     accepted: list[int] = []
+    pool: Counter = Counter()  # trigrams of the accepted sentences
     for i in order:
         if len(accepted) >= budget:
             break
         if cfg.trigram_threshold is not None:
-            overlap = shared_trigrams(sentences[i], [sentences[j] for j in accepted])
-            if overlap > cfg.trigram_threshold:
+            if shared_trigrams(sentences[i], pool) > cfg.trigram_threshold:
                 continue
+            pool.update(ngrams(sentences[i].tokens, 3))
         accepted.append(i)
     return sorted(accepted)

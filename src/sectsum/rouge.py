@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 
@@ -45,15 +46,19 @@ def ngrams(tokens: list[str] | tuple[str, ...], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _rouge_n_counts(candidate: list[str], ref_counts: Counter, ref_total: int, n: int) -> RougeScore:
-    """ROUGE-N of candidate tokens against precomputed reference n-gram counts."""
+def _score_counts(overlap: int, cand_total: int, ref_total: int) -> RougeScore:
+    """ROUGE-N from the clipped overlap and the candidate and reference n-gram totals."""
     if ref_total == 0:
         return ZERO_SCORE
-    cand_counts = ngrams(candidate, n)
-    cand_total = sum(cand_counts.values())
-    overlap = sum((cand_counts & ref_counts).values())
     precision = overlap / cand_total if cand_total else 0.0
     return RougeScore.from_pr(precision, overlap / ref_total)
+
+
+def _rouge_n_counts(candidate: list[str], ref_counts: Counter, ref_total: int, n: int) -> RougeScore:
+    """ROUGE-N of candidate tokens against precomputed reference n-gram counts."""
+    cand_counts = ngrams(candidate, n)
+    overlap = sum((cand_counts & ref_counts).values())
+    return _score_counts(overlap, sum(cand_counts.values()), ref_total)
 
 
 def rouge_n(candidate: list[str], reference: list[str], n: int) -> RougeScore:
@@ -116,24 +121,102 @@ def _reference_counts(reference: str) -> list[tuple[Counter, int]]:
     return [(c, sum(c.values())) for c in (ngrams(ref_tokens, 1), ngrams(ref_tokens, 2))]
 
 
-def _extract_score(sentences, selected, refs: list[tuple[Counter, int]]) -> float:
-    """ROUGE-1 F1 + ROUGE-2 F1 of the extract formed by `selected`, in document order."""
+def extract_f1(doc: Document, selected: list[int] | np.ndarray) -> float:
+    """ROUGE-1 F1 + ROUGE-2 F1 of the extract formed by `selected` indices, in document order.
+
+    The score the greedy oracle maximizes, counted from scratch; brute-force
+    checks of the oracle compare against it.
+    """
+    sentences = doc.sentences
     tokens: list[str] = []
-    for i in sorted(selected):
+    for i in sorted(int(i) for i in selected):
         tokens.extend(sentences[i].tokens)
     total = 0.0
-    for n, (ref_counts, ref_total) in enumerate(refs, start=1):
+    for n, (ref_counts, ref_total) in enumerate(_reference_counts(doc.reference_summary), start=1):
         total += _rouge_n_counts(tokens, ref_counts, ref_total, n).f1
     return total
 
 
-def extract_f1(doc: Document, selected: list[int] | np.ndarray) -> float:
-    """ROUGE-1 F1 + ROUGE-2 F1 of the extract formed by `selected` indices.
+def _clipped_gain(extract: Counter, change: dict, ref: Counter) -> int:
+    """Change in the clipped overlap Σ min(extract[g], ref[g]) when `change` is added.
 
-    Shared by the greedy oracle and by brute-force verification in tests.
+    Every key of `change` must be a reference n-gram.
     """
-    return _extract_score(doc.sentences, [int(i) for i in selected],
-                          _reference_counts(doc.reference_summary))
+    gain = 0
+    for g, c in change.items():
+        e, r = extract.get(g, 0), ref[g]
+        gain += min(e + c, r) - min(e, r)
+    return gain
+
+
+class _RunningExtract:
+    """ROUGE-1/2 overlap counts of a growing extract joined in document order.
+
+    Each sentence's unigrams and bigrams are counted once, keeping only those
+    the reference contains.  Scoring a candidate sentence then costs its own
+    n-grams plus the two sentence boundaries it changes, not a recount of the
+    whole extract.
+    """
+
+    def __init__(self, sentences, refs: list[tuple[Counter, int]]):
+        (self.ref1, self.ref1_total), (self.ref2, self.ref2_total) = refs
+        self.tokens = [s.tokens for s in sentences]
+        self.unigrams = [{g: c for g, c in ngrams(t, 1).items() if g in self.ref1} for t in self.tokens]
+        self.bigrams = [{g: c for g, c in ngrams(t, 2).items() if g in self.ref2} for t in self.tokens]
+        self.counts1: Counter = Counter()
+        self.counts2: Counter = Counter()
+        self.overlap1 = self.overlap2 = self.total = 0
+        self.joined: list[int] = []  # selected sentences with tokens, in document order
+
+    def _bigram_change(self, i: int) -> dict:
+        """Reference bigrams the extract gains (or, at a broken boundary, loses) with sentence i.
+
+        With j and k the nearest joined sentences before and after i, the
+        bigram (last of j, first of k) gives way to (last of j, first of i)
+        and (last of i, first of k).  A sentence without tokens changes no
+        boundary.
+        """
+        toks = self.tokens
+        change = self.bigrams[i]
+        if not toks[i]:
+            return change
+        at = bisect_left(self.joined, i)
+        j = self.joined[at - 1] if at > 0 else None
+        k = self.joined[at] if at < len(self.joined) else None
+        boundary = []
+        if j is not None:
+            boundary.append(((toks[j][-1], toks[i][0]), 1))
+        if k is not None:
+            boundary.append(((toks[i][-1], toks[k][0]), 1))
+            if j is not None:
+                boundary.append(((toks[j][-1], toks[k][0]), -1))
+        boundary = [(g, c) for g, c in boundary if g in self.ref2]
+        if boundary:
+            change = dict(change)
+            for g, c in boundary:
+                change[g] = change.get(g, 0) + c
+        return change
+
+    def score_with(self, i: int) -> float:
+        """ROUGE-1 F1 + ROUGE-2 F1 of the extract with sentence i added.
+
+        The same arithmetic as `extract_f1`, from the same integer counts.
+        """
+        total = self.total + len(self.tokens[i])
+        overlap1 = self.overlap1 + _clipped_gain(self.counts1, self.unigrams[i], self.ref1)
+        overlap2 = self.overlap2 + _clipped_gain(self.counts2, self._bigram_change(i), self.ref2)
+        return (0.0 + _score_counts(overlap1, total, self.ref1_total).f1
+                + _score_counts(overlap2, max(total - 1, 0), self.ref2_total).f1)
+
+    def add(self, i: int) -> None:
+        change = self._bigram_change(i)
+        self.overlap1 += _clipped_gain(self.counts1, self.unigrams[i], self.ref1)
+        self.overlap2 += _clipped_gain(self.counts2, change, self.ref2)
+        self.counts1.update(self.unigrams[i])
+        self.counts2.update(change)
+        self.total += len(self.tokens[i])
+        if self.tokens[i]:
+            insort(self.joined, i)
 
 
 def oracle_labels(doc: Document, budget: int) -> np.ndarray:
@@ -143,6 +226,8 @@ def oracle_labels(doc: Document, budget: int) -> np.ndarray:
     in (ROUGE-1 F1 + ROUGE-2 F1) of the running extract; ties go to the
     earlier sentence.  Stops when no sentence improves the score or the
     budget is reached.  An empty reference yields all-zero labels (logged).
+    Each candidate is scored by its change to the running extract, so a
+    round costs time linear in the document's tokens.
     """
     if budget < 1:
         raise ValueError(f"oracle_labels: budget must be >= 1, got {budget}")
@@ -153,22 +238,22 @@ def oracle_labels(doc: Document, budget: int) -> np.ndarray:
         log.warning("doc %s: empty reference summary, oracle labels all zero", doc.id)
         return labels
 
-    sentences = doc.sentences
-    chosen: list[int] = []
+    extract = _RunningExtract(doc.sentences, refs)
+    chosen = 0
     best_score = 0.0
-    while len(chosen) < min(budget, n):
+    while chosen < min(budget, n):
         best_idx, best_gain = -1, 0.0
         for i in range(n):
             if labels[i]:
                 continue
-            score = _extract_score(sentences, chosen + [i], refs)
-            gain = score - best_score
+            gain = extract.score_with(i) - best_score
             if gain > best_gain + 1e-12:
                 best_idx, best_gain = i, gain
         if best_idx < 0:
             break
         labels[best_idx] = 1
-        chosen.append(best_idx)
+        extract.add(best_idx)
+        chosen += 1
         best_score += best_gain
     return labels
 
@@ -201,7 +286,8 @@ def stable_seed(*parts) -> int:
 
 
 def _candidate_text(doc: Document, labels: np.ndarray) -> str:
-    return " ".join(doc.sentences[i].text for i in np.nonzero(labels)[0])
+    sentences = doc.sentences
+    return " ".join(sentences[i].text for i in np.nonzero(labels)[0])
 
 
 def sample_candidates(doc: Document, labels: np.ndarray, k: int, seed: int) -> CandidateSet:

@@ -178,9 +178,10 @@ def evaluate_split(model: Model, items: list[LabeledDocument], tcfg: TrainConfig
             scores = model.forward(item.document)
             losses.append(float(ce_loss(scores, item.labels).data))
             picked = select_sentences(item.document, scores, sel)
+            sentences = item.document.sentences
             cand_tokens: list[str] = []
             for i in picked:
-                cand_tokens.extend(item.document.sentences[i].tokens)
+                cand_tokens.extend(sentences[i].tokens)
             ref_tokens = tokenize(item.document.reference_summary)
             r1s.append(rouge_n(cand_tokens, ref_tokens, 1).recall)
             r2s.append(rouge_n(cand_tokens, ref_tokens, 2).recall)

@@ -91,9 +91,30 @@ def test_ingest_bad_line_fails_unless_lenient(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "line 2" in captured.err
     assert "docs=2" in captured.out and "bad_lines=1" in captured.out
+    # a failed ingest leaves no corpus for a later stage to accept
+    assert f"{out} not written" in captured.err
+    assert not out.exists()
 
     assert main(["ingest", "--input", str(src), "--out", str(out), "--lenient"]) == 0
     assert "docs=2" in capsys.readouterr().out
+    assert [json.loads(line)["id"] for line in out.read_text().splitlines()[1:]] == ["doc0", "doc2"]
+
+
+def test_ingest_with_no_valid_documents_writes_nothing(tmp_path, capsys):
+    src, out = tmp_path / "raw.jsonl", tmp_path / "corpus.jsonl"
+    src.write_text("{not json\n")
+    assert main(["ingest", "--input", str(src), "--out", str(out), "--lenient"]) == 1
+    assert "no valid documents" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_utf8_config_exits_one_naming_line_and_offset(tmp_path, capsys):
+    src, cfg = tmp_path / "raw.jsonl", tmp_path / "run.cfg"
+    write_corpus_jsonl(src, _docs(1))
+    cfg.write_bytes(b"seed = 1\nwindow = \xff3\n")
+    rc = main(["ingest", "--config", str(cfg), "--input", str(src), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"{cfg} line 2: not valid UTF-8 at byte offset 18" in capsys.readouterr().err
 
 
 def test_duplicate_ids_fail_ingest_unless_lenient_and_every_reader(tmp_path, capsys, cfg_file):

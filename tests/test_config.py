@@ -71,6 +71,16 @@ def test_parse_config_file_rejects_bad_lines(tmp_path):
         parse_config_file(_write(tmp_path, "reinforced=maybe"))
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_parse_config_file_names_non_utf8_line_and_offset(tmp_path, newline):
+    path = tmp_path / "run.cfg"
+    lines = [b"# header", b"d_model = 32", b"seed = \xff7"]
+    path.write_bytes(newline.join(lines) + newline)
+    offset = len(newline.join(lines[:2]) + newline) + len(b"seed = ")
+    with pytest.raises(ConfigError, match=rf"line 3: not valid UTF-8 at byte offset {offset}$"):
+        parse_config_file(path)
+
+
 # ---------------------------------------------------------------------------
 # resolution and validation
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from sectsum.extractor import (
     selection_budget,
     shared_trigrams,
 )
+from sectsum.rouge import ngrams
 
 # ---------------------------------------------------------------------------
 # score prediction
@@ -90,23 +93,31 @@ def _sentences(*texts):
     return list(doc.sentences)
 
 
+def _pool(sentences):
+    """The trigram pool `select_sentences` keeps for these accepted sentences."""
+    pool = Counter()
+    for s in sentences:
+        pool.update(ngrams(s.tokens, 3))
+    return pool
+
+
 def test_shared_trigrams_fixture():
     cand, sel = _sentences("the quick brown fox jumps", "the quick brown dog")
-    assert shared_trigrams(cand, [sel]) == 1  # only ("the","quick","brown")
+    assert shared_trigrams(cand, _pool([sel])) == 1  # only ("the","quick","brown")
 
 
 def test_shared_trigrams_empty_and_short():
     cand, other = _sentences("one two", "one two three four")
-    assert shared_trigrams(cand, [other]) == 0  # fewer than 3 tokens
+    assert shared_trigrams(cand, _pool([other])) == 0  # fewer than 3 tokens
     long_cand, _ = _sentences("one two three", "spare")
-    assert shared_trigrams(long_cand, []) == 0  # nothing selected yet
+    assert shared_trigrams(long_cand, _pool([])) == 0  # nothing selected yet
 
 
 def test_shared_trigrams_multiset_counting():
     cand, a, b = _sentences("a b c a b c x", "a b c", "a b c")
     # candidate has ("a","b","c") twice; pool holds it twice across a and b
-    assert shared_trigrams(cand, [a, b]) == 2
-    assert shared_trigrams(cand, [a]) == 1
+    assert shared_trigrams(cand, _pool([a, b])) == 2
+    assert shared_trigrams(cand, _pool([a])) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -219,5 +230,5 @@ def test_select_invariants(n, ratio, seed):
     else:
         # whatever was accepted respects the pairwise pool constraint in order
         for idx, i in enumerate(got_order := sorted(got, key=lambda i: (-scores[i], i))):
-            pool = [doc.sentences[j] for j in got_order[:idx]]
-            assert shared_trigrams(doc.sentences[i], pool) <= threshold
+            accepted = [doc.sentences[j] for j in got_order[:idx]]
+            assert shared_trigrams(doc.sentences[i], _pool(accepted)) <= threshold

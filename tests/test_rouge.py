@@ -242,6 +242,49 @@ def test_oracle_matches_brute_force_on_random_docs(seed):
     assert greedy <= brute + 1e-12
 
 
+def _greedy_from_scratch(doc, budget):
+    """The greedy oracle with every candidate extract re-scored from scratch by extract_f1."""
+    n = doc.n_sentences
+    chosen: list[int] = []
+    best_score = 0.0
+    while len(chosen) < min(budget, n):
+        best_idx, best_gain = -1, 0.0
+        for i in range(n):
+            if i in chosen:
+                continue
+            gain = extract_f1(doc, chosen + [i]) - best_score
+            if gain > best_gain + 1e-12:
+                best_idx, best_gain = i, gain
+        if best_idx < 0:
+            break
+        chosen.append(best_idx)
+        best_score += best_gain
+    labels = np.zeros(n, dtype=np.int64)
+    labels[chosen] = 1
+    return labels
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_oracle_equals_greedy_rescored_from_scratch(data):
+    # a 3-5 word vocabulary makes bigrams across sentence boundaries collide
+    # with the reference; "..." is a sentence without tokens
+    word = st.sampled_from(["x", "y", "z", "w", "v"][: data.draw(st.integers(3, 5))])
+    sentence = st.one_of(st.lists(word, min_size=1, max_size=4).map(" ".join), st.just("..."))
+    sections = data.draw(st.lists(st.lists(sentence, min_size=1, max_size=4), min_size=1, max_size=3))
+    doc = doc_from_sections("d", sections, reference=" ".join(data.draw(st.lists(word, max_size=8))))
+    budget = data.draw(st.integers(1, doc.n_sentences))
+    assert list(oracle_labels(doc, budget)) == list(_greedy_from_scratch(doc, budget))
+
+
+def test_oracle_weighs_the_bigram_an_insertion_breaks():
+    # after "c" and "d" the extract "c d" holds the reference bigram (c, d);
+    # inserting "a" completes the unigrams but breaks (c, d), a net loss
+    doc = doc_from_sections("d", [["c", "a", "d"]], reference="c d a")
+    assert extract_f1(doc, [0, 1, 2]) < extract_f1(doc, [0, 2])
+    assert list(oracle_labels(doc, budget=3)) == [1, 0, 1]
+
+
 @given(st.lists(st.lists(words, min_size=1, max_size=6), min_size=1, max_size=5),
        token_lists, st.data())
 def test_extract_f1_is_the_sum_of_rouge_n_f1(sents, ref, data):
