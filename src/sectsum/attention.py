@@ -12,9 +12,13 @@ Pad positions are excluded with additive -1e9 scores before the softmax, and
 pad rows are zeroed after it: a softmax over an all-masked row is uniform
 noise, so an explicit validity multiply is required.
 
-The sliding view and the sparse layer run one path (:func:`_attention`);
-:func:`full_attention_reference` is a dense O(n²) form written out on its
-own, the oracle in tests and the quadratic baseline in benchmarks.
+The sliding view and the sparse layer run one path (:func:`_attention`).
+Per head it records two graph nodes, the band (:func:`_banded_rows`) and the
+global rows (:func:`_global_rows`), each with its backward written out; both
+replay, expression for expression, the op-by-op graph they replaced, so
+outputs and gradients keep their bits.  :func:`full_attention_reference` is
+a dense O(n²) form written out on its own, the oracle in tests and the
+quadratic baseline in benchmarks.
 """
 
 from __future__ import annotations
@@ -179,45 +183,122 @@ def _check_inputs(x: ad.Tensor, mask: AttentionMask, window: int, params: Attent
         raise ad.DimensionError(f"params carry {len(params.heads)} heads, caller asked for {heads}")
 
 
-def _banded_rows(
-    q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, mask_vals: np.ndarray, window: int, glob: np.ndarray
-) -> ad.Tensor:
-    """Chunked band attention for one head: w query rows vs a 3w key span.
+def _band_chunks(valid: np.ndarray, window: int, glob: np.ndarray) -> list[tuple]:
+    """Per chunk of w query rows: (lo, hi, klo, khi, additive band mask).
 
-    The glob columns are removed from the band and appended as extra targets
-    for every row (so band ∩ global never double counts).  Pad rows come out
-    as zeros.
+    The key span [klo, khi) reaches w past the chunk on each side; the mask
+    keeps |i - j| <= w over valid, non-glob columns.
     """
-    n_pad = q.shape[0]
-    valid = mask_vals > 0
+    n_pad = valid.size
     band_ok = valid.copy()
-    if glob.size:
-        band_ok[glob] = False
-        k_glob_cols = ad.gather_rows(k, glob)
-        v_glob_cols = ad.gather_rows(v, glob)
-
+    band_ok[glob] = False
     positions = np.arange(n_pad)
     chunks = []
-    for c in range(n_pad // window):
-        lo, hi = c * window, (c + 1) * window
+    for lo in range(0, n_pad, window):
+        hi = lo + window
         klo, khi = max(0, lo - window), min(n_pad, hi + window)
-        span = khi - klo
         in_band = (
             np.abs(positions[lo:hi, None] - positions[None, klo:khi]) <= window
         ) & band_ok[None, klo:khi]
-        scores = ad.matmul(ad.narrow(q, 0, lo, window), ad.transpose(ad.narrow(k, 0, klo, span)))
-        scores = ad.add(scores, ad.Tensor(np.where(in_band, 0.0, NEG_INF)))
+        chunks.append((lo, hi, klo, khi, np.where(in_band, 0.0, NEG_INF)))
+    return chunks
+
+
+def _split_columns(a: np.ndarray, at: int) -> tuple[np.ndarray, np.ndarray]:
+    # contiguous halves: BLAS may round a strided operand differently
+    return np.ascontiguousarray(a[:, :at]), np.ascontiguousarray(a[:, at:])
+
+
+def _banded_rows(
+    q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, valid_col: np.ndarray, chunks: list[tuple], glob: np.ndarray
+) -> ad.Tensor:
+    """Chunked band attention for one head, recorded as one graph node.
+
+    Each chunk of w query rows scores its 3w key span; the glob columns are
+    masked out of the band and appended as extra targets for every row (so
+    band ∩ global never double counts).  Pad rows come out as zeros.  The
+    backward is the softmax Jacobian-vector product per chunk; dk and dv sum
+    the overlapping spans in chunk order, then add the glob columns.  Every
+    matmul operand keeps the layout the op-by-op graph gave it (transposed
+    key copies, contiguous probability halves), as BLAS may round another
+    layout differently.
+    """
+    k_glob_t = k.data[glob].T.copy()
+    v_glob = v.data[glob]
+    saved = []
+    outs = []
+    for lo, hi, klo, khi, additive in chunks:
+        q_c = q.data[lo:hi]
+        k_span_t = k.data[klo:khi].T.copy()
+        scores = q_c @ k_span_t + additive
         if glob.size:
-            scores = ad.concat(
-                [scores, ad.matmul(ad.narrow(q, 0, lo, window), ad.transpose(k_glob_cols))], axis=1
-            )
-        probs = ad.softmax(scores, axis=1)
-        out = ad.matmul(ad.narrow(probs, 1, 0, span), ad.narrow(v, 0, klo, span))
+            scores = np.concatenate([scores, q_c @ k_glob_t], axis=1)
+        probs = ad.softmax_forward(scores, axis=1)
+        p_band, p_glob = _split_columns(probs, khi - klo)
+        out = p_band @ v.data[klo:khi]
         if glob.size:
-            out = ad.add(out, ad.matmul(ad.narrow(probs, 1, span, int(glob.size)), v_glob_cols))
-        chunks.append(out)
-    banded = chunks[0] if len(chunks) == 1 else ad.concat(chunks, axis=0)
-    return ad.mul(banded, ad.Tensor(valid.astype(np.float64)[:, None]))
+            out = out + p_glob @ v_glob
+        outs.append(out)
+        saved.append((lo, hi, klo, khi, q_c, k_span_t, probs, p_band, p_glob))
+    banded = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
+
+    def backward(g: np.ndarray) -> None:
+        g = g * valid_col
+        dq, dk, dv = np.zeros_like(q.data), np.zeros_like(k.data), np.zeros_like(v.data)
+        dk_glob = dv_glob = 0.0
+        for lo, hi, klo, khi, q_c, k_span_t, probs, p_band, p_glob in saved:
+            g_c = g[lo:hi]
+            dp = g_c @ v.data[klo:khi].T
+            if glob.size:
+                dp = np.concatenate([dp, g_c @ v_glob.T], axis=1)
+            ds_band, ds_glob = _split_columns(ad.softmax_backward(probs, dp, axis=1), khi - klo)
+            dq[lo:hi] = ds_band @ k_span_t.T
+            dk[klo:khi] += (q_c.T @ ds_band).T
+            dv[klo:khi] += p_band.T @ g_c
+            if glob.size:
+                dq[lo:hi] += ds_glob @ k_glob_t.T
+                dk_glob = dk_glob + (q_c.T @ ds_glob).T
+                dv_glob = dv_glob + p_glob.T @ g_c
+        if glob.size:
+            dk[glob] += dk_glob
+            dv[glob] += dv_glob
+        ad._accumulate(q, dq)
+        ad._accumulate(k, dk)
+        ad._accumulate(v, dv)
+
+    return ad._make(banded * valid_col, (q, k, v), backward)
+
+
+def _global_rows(
+    local: ad.Tensor, q_glob: ad.Tensor, k: ad.Tensor, v: ad.Tensor,
+    valid: np.ndarray, glob: np.ndarray, inv_sqrt_d: float,
+) -> ad.Tensor:
+    """Replace the glob rows of `local` by attention over all valid positions.
+
+    One graph node per head: `q_glob` holds the glob rows' query projections
+    before the 1/√d scale; they score every key, pad columns masked, and
+    their softmax-weighted values overwrite those rows of the banded output.
+    """
+    qg = q_glob.data * inv_sqrt_d
+    kt = k.data.T.copy()
+    scores = qg @ kt + np.where(valid, 0.0, NEG_INF)[None, :]
+    probs = ad.softmax_forward(scores, axis=1)
+    keep_local = valid.copy()
+    keep_local[glob] = False
+    keep_col = keep_local.astype(np.float64)[:, None]
+    placed = np.zeros_like(local.data)
+    placed[glob] = probs @ v.data
+
+    def backward(g: np.ndarray) -> None:
+        ad._accumulate(local, g * keep_col)
+        g_glob = g[glob]
+        dp = g_glob @ v.data.T
+        ds = ad.softmax_backward(probs, dp, axis=1)
+        ad._accumulate(q_glob, (ds @ kt.T) * inv_sqrt_d)
+        ad._accumulate(k, (qg.T @ ds).T)
+        ad._accumulate(v, probs.T @ g_glob)
+
+    return ad._make(local.data * keep_col + placed, (local, q_glob, k, v), backward)
 
 
 def _attention(
@@ -231,28 +312,21 @@ def _attention(
     output-projected and pad rows zeroed.
     """
     _check_inputs(x, mask, window, params, heads)
-    mask_vals = mask.values[0]
-    valid = mask_vals > 0
+    valid = mask.values[0] > 0
+    valid_col = valid.astype(np.float64)[:, None]
+    chunks = _band_chunks(valid, window, glob)
     inv_sqrt_d = 1.0 / math.sqrt(params.heads[0].query.out_features)
 
     per_head = []
     for head in params.heads:
         q = ad.scale(head.query(x), inv_sqrt_d)
-        out = _banded_rows(q, head.key(x), head.value(x), mask_vals, window, glob)
+        out = _banded_rows(q, head.key(x), head.value(x), valid_col, chunks, glob)
         if glob.size:
-            q_glob = ad.scale(head.global_query(ad.gather_rows(x, glob)), inv_sqrt_d)
-            scores = ad.matmul(q_glob, ad.transpose(head.global_key(x)))
-            scores = ad.add(scores, ad.Tensor(np.where(valid, 0.0, NEG_INF)[None, :]))
-            glob_out = ad.matmul(ad.softmax(scores, axis=1), head.global_value(x))
-            keep_local = valid.copy()
-            keep_local[glob] = False
-            out = ad.add(
-                ad.mul(out, ad.Tensor(keep_local.astype(np.float64)[:, None])),
-                ad.scatter_rows(glob_out, glob, mask.padded_len),
-            )
+            q_glob = head.global_query(ad.gather_rows(x, glob))
+            out = _global_rows(out, q_glob, head.global_key(x), head.global_value(x), valid, glob, inv_sqrt_d)
         per_head.append(out)
     merged = per_head[0] if heads == 1 else ad.concat(per_head, axis=1)
-    return ad.mul(params.output(merged), ad.Tensor(valid.astype(np.float64)[:, None]))
+    return ad.mul(params.output(merged), ad.Tensor(valid_col))
 
 
 def sliding_window_attention(

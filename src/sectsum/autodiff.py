@@ -11,6 +11,20 @@ gradient.  Graphs are rebuilt on every forward pass.
 Everything is float64 on purpose: the engine is meant for desk-scale models
 whose correctness is checked against central finite differences, and the
 extra precision keeps those comparisons honest.
+
+An op is a forward computed on ``.data`` plus a backward closure, recorded
+with :func:`_make`; the closure routes its output gradient to the parents
+through :func:`_accumulate`.  Larger ops (:func:`linear`, the attention band)
+write their backward out by hand the same way.  A backward must not write
+into the gradient it receives, nor into any array it has handed to
+``_accumulate``: the first gradient a tensor receives is stored as is, not
+copied, so another node may still read it.  Arrays it allocates itself it
+may fill in place before handing them on.
+
+The engine is not re-entrant: whether ops record (``_grad_enabled``) and the
+gradients of the running sweep (``_pass_grads``) are module globals, so two
+threads must not build graphs or run :func:`backward` at the same time, and
+a backward closure must not start another sweep.
 """
 
 from __future__ import annotations
@@ -143,7 +157,9 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         return
     entry = _pass_grads.get(id(t))
     if entry is None:
-        _pass_grads[id(t)] = (t, np.array(g, dtype=np.float64, copy=True))
+        # stored as is, unless a strided view: BLAS may round one differently
+        # from the dense copy every later matmul saw before this was dropped
+        _pass_grads[id(t)] = (t, g if g.flags.forc else np.array(g, copy=True))
     else:
         _pass_grads[id(t)] = (t, entry[1] + g)
 
@@ -306,16 +322,24 @@ def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _make(np.asarray(data, dtype=np.float64), (a,), backward)
 
 
+def softmax_forward(x: np.ndarray, axis: int) -> np.ndarray:
+    """Numerically stable softmax of an array along `axis` (max-subtraction)."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_backward(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """Jacobian-vector product of the softmax `y` with the output gradient `g`."""
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
 def softmax(a, axis: int = -1) -> Tensor:
     """Numerically stable softmax along `axis` (max-subtraction)."""
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = softmax_forward(a.data, axis)
 
     def backward(g: np.ndarray) -> None:
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accumulate(a, y * (g - dot))
+        _accumulate(a, softmax_backward(y, g, axis))
 
     return _make(y, (a,), backward)
 
@@ -454,7 +478,16 @@ def linear(x, layer: Linear) -> Tensor:
         raise DimensionError(
             f"linear input width {x.shape} incompatible with weight {layer.weight.shape}"
         )
-    return add(matmul(x, transpose(layer.weight)), layer.bias)
+    w, b = layer.weight, layer.bias
+    # the copy keeps the BLAS call the composed transpose → matmul → add made
+    wt = w.data.T.copy()
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(b, _unbroadcast(g, b.shape))
+        _accumulate(x, g @ wt.T)
+        _accumulate(w, (x.data.T @ g).T)
+
+    return _make(x.data @ wt + b.data, (x, w, b), backward)
 
 
 def clamp_indices(indices: np.ndarray, n_rows: int, *, warn_label: str = "embedding") -> np.ndarray:

@@ -68,19 +68,23 @@ def rouge_n(candidate: list[str], reference: list[str], n: int) -> RougeScore:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    # one-row DP over the shorter sequence keeps memory at O(min(len))
+    """LCS length in bit-parallel form (Allison & Dix 1986; Hyyrö 2004).
+
+    Bit j of `v` stays set while b[j] (b the shorter sequence) is unmatched
+    on the current LCS frontier; each token of `a` moves the frontier in one
+    carry-propagating add over a Python int, so the cost is O(|a|·|b|/word).
+    """
     if len(b) > len(a):
         a, b = b, a
-    prev = [0] * (len(b) + 1)
+    positions: dict[str, int] = {}
+    for j, y in enumerate(b):
+        positions[y] = positions.get(y, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        curr = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                curr.append(prev[j - 1] + 1)
-            else:
-                curr.append(max(prev[j], curr[j - 1]))
-        prev = curr
-    return prev[-1]
+        u = v & positions.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: list[str], reference: list[str]) -> RougeScore:

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from sectsum import autodiff as ad
+from sectsum.attention import NEG_INF
 from sectsum.corpus import Document, LabeledDocument, parse_document
 from sectsum.rouge import stable_seed
 
@@ -106,3 +108,65 @@ def write_corpus_jsonl(path: Path, docs: list[Document]) -> None:
             from sectsum.corpus import serialize_document
 
             fh.write(serialize_document(doc) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# the composed graphs that the fused autodiff ops replay
+# ---------------------------------------------------------------------------
+# Each is the op-by-op form the fused op replaced, kept as the reference its
+# outputs and gradients must equal bit for bit.  They take the fused ops'
+# arguments so tests can swap them in where the callers look them up.
+
+
+def composed_linear(x, layer):
+    """y = x @ W.T + b as transpose → matmul → add."""
+    return ad.add(ad.matmul(x, ad.transpose(layer.weight)), layer.bias)
+
+
+def composed_banded_rows(q, k, v, valid_col, chunks, glob):
+    """The chunked band as narrow/transpose/matmul/softmax/concat per chunk."""
+    n_pad = q.shape[0]
+    window = chunks[0][1] - chunks[0][0]
+    valid = valid_col[:, 0] > 0
+    band_ok = valid.copy()
+    if glob.size:
+        band_ok[glob] = False
+        k_glob_cols = ad.gather_rows(k, glob)
+        v_glob_cols = ad.gather_rows(v, glob)
+
+    positions = np.arange(n_pad)
+    outs = []
+    for c in range(n_pad // window):
+        lo, hi = c * window, (c + 1) * window
+        klo, khi = max(0, lo - window), min(n_pad, hi + window)
+        span = khi - klo
+        in_band = (
+            np.abs(positions[lo:hi, None] - positions[None, klo:khi]) <= window
+        ) & band_ok[None, klo:khi]
+        scores = ad.matmul(ad.narrow(q, 0, lo, window), ad.transpose(ad.narrow(k, 0, klo, span)))
+        scores = ad.add(scores, ad.Tensor(np.where(in_band, 0.0, NEG_INF)))
+        if glob.size:
+            scores = ad.concat(
+                [scores, ad.matmul(ad.narrow(q, 0, lo, window), ad.transpose(k_glob_cols))], axis=1
+            )
+        probs = ad.softmax(scores, axis=1)
+        out = ad.matmul(ad.narrow(probs, 1, 0, span), ad.narrow(v, 0, klo, span))
+        if glob.size:
+            out = ad.add(out, ad.matmul(ad.narrow(probs, 1, span, int(glob.size)), v_glob_cols))
+        outs.append(out)
+    banded = outs[0] if len(outs) == 1 else ad.concat(outs, axis=0)
+    return ad.mul(banded, ad.Tensor(valid.astype(np.float64)[:, None]))
+
+
+def composed_global_rows(local, q_glob, k, v, valid, glob, inv_sqrt_d):
+    """The global-row branch as scale → transpose → matmul → mask → softmax →
+    matmul → keep_local → scatter_rows → add."""
+    scores = ad.matmul(ad.scale(q_glob, inv_sqrt_d), ad.transpose(k))
+    scores = ad.add(scores, ad.Tensor(np.where(valid, 0.0, NEG_INF)[None, :]))
+    glob_out = ad.matmul(ad.softmax(scores, axis=1), v)
+    keep_local = valid.copy()
+    keep_local[glob] = False
+    return ad.add(
+        ad.mul(local, ad.Tensor(keep_local.astype(np.float64)[:, None])),
+        ad.scatter_rows(glob_out, glob, valid.size),
+    )

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import composed_banded_rows, composed_global_rows, composed_linear
+from sectsum import attention
 from sectsum import autodiff as ad
 from sectsum.attention import (
     AttentionMask,
@@ -304,3 +306,93 @@ def test_attention_gradients_flow_to_all_local_params():
         assert np.abs(lin.weight.grad).max() > 0
     for t in (params.attn_gain, params.attn_bias, params.ffn_gain, params.ffn_bias):
         assert t.grad is not None
+
+
+# ---------------------------------------------------------------------------
+# fused graph nodes vs the composition they replaced
+# ---------------------------------------------------------------------------
+
+
+def _layer_outputs_and_grads(x, mask, params, seed):
+    """Layer output, input gradient and every parameter gradient of one loss."""
+    x = Tensor(x.data, requires_grad=True)
+    for t in _param_tensors(params):
+        t.grad = None
+    w = np.random.default_rng(seed).standard_normal(x.shape)
+    out = transformer_layer(x, mask, params)
+    ad.backward(ad.tsum(ad.mul(out, Tensor(w))))
+    return [out.data, x.grad] + [t.grad for t in _param_tensors(params)]
+
+
+def _param_tensors(params):
+    linears = [getattr(h, part) for h in params.heads
+               for part in ("query", "key", "value", "global_query", "global_key", "global_value")]
+    linears += [params.output, params.ffn_inner, params.ffn_outer]
+    return [t for lin in linears for t in (lin.weight, lin.bias)] + [
+        params.attn_gain, params.attn_bias, params.ffn_gain, params.ffn_bias]
+
+
+def _assert_fused_equals_composed(monkeypatch, x, mask, params, seed):
+    fused = _layer_outputs_and_grads(x, mask, params, seed)
+    with monkeypatch.context() as m:
+        m.setattr(attention, "_banded_rows", composed_banded_rows)
+        m.setattr(attention, "_global_rows", composed_global_rows)
+        m.setattr(ad, "linear", composed_linear)
+        composed = _layer_outputs_and_grads(x, mask, params, seed)
+    assert len(fused) == len(composed)
+    for got, want in zip(fused, composed):
+        if want is None:  # no global rows: the global projections get no gradient
+            assert got is None
+        else:
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_fused_layer_equals_composed_graph_on_random_cases(monkeypatch):
+    for seed in range(60):
+        x, mask, params, _ = _rand_case(seed, with_globals=True)
+        _assert_fused_equals_composed(monkeypatch, x, mask, params, seed)
+
+
+@pytest.mark.parametrize(
+    "n, window, heads, glob",
+    [
+        (47, 5, 2, [3, 9, 20, 21, 40]),   # ten chunks with globals, three pad rows
+        (60, 6, 4, []),                   # multi-chunk, no globals
+        (9, 2, 2, list(range(9))),        # every row global, one pad row
+        (7, 4, 2, [1, 5]),                # one pad row in the last chunk
+        (33, 4, 1, [0, 16, 32]),          # one head
+    ],
+    ids=["multi-chunk", "no-globals", "all-global", "pad-rows", "one-head"],
+)
+def test_fused_layer_equals_composed_graph_on_edge_cases(monkeypatch, n, window, heads, glob):
+    rng = np.random.default_rng(n)
+    mask = build_attention_mask([n], window, [glob])
+    x = Tensor(rng.standard_normal((mask.padded_len, 4 * heads)))
+    params = _params(rng, 4 * heads, heads)
+    _assert_fused_equals_composed(monkeypatch, x, mask, params, n)
+
+
+def test_band_and_global_ops_pass_gradient_checks():
+    # multi-chunk, globals in the band and pad rows: the 1e-4 layer bound of criterion 03
+    mask = build_attention_mask([11], 3, [[2, 7]])
+    valid = mask.values[0] > 0
+    glob = np.nonzero(mask.values[0] == 2)[0]
+    chunks = attention._band_chunks(valid, 3, glob)
+    rng = np.random.default_rng(4)
+    q, k, v, q_glob, local = (
+        Tensor(rng.standard_normal(shape), requires_grad=True)
+        for shape in [(mask.padded_len, 3)] * 3 + [(glob.size, 3), (mask.padded_len, 3)]
+    )
+    w = Tensor(rng.standard_normal((mask.padded_len, 3)))
+    valid_col = valid.astype(np.float64)[:, None]
+
+    def band_loss(_):
+        return ad.tsum(ad.mul(attention._banded_rows(q, k, v, valid_col, chunks, glob), w))
+
+    def global_loss(_):
+        return ad.tsum(ad.mul(attention._global_rows(local, q_glob, k, v, valid, glob, 0.5), w))
+
+    for target in (q, k, v):
+        assert ad.grad_check(band_loss, target) < 1e-4
+    for target in (local, q_glob, k, v):
+        assert ad.grad_check(global_loss, target) < 1e-4

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import composed_linear
 from sectsum import autodiff as ad
 from sectsum.autodiff import DimensionError, Linear, Tensor
 
@@ -308,3 +309,42 @@ def test_grad_check_linear_chain_property(seed):
     x = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
     err = ad.grad_check(lambda t: ad.tsum(ad.tanh(layer(t))), x)
     assert err < 1e-5
+
+
+def _linear_pair_grads(x_data, layers, w):
+    """Output and every gradient of sum(w * [layer(x) for layer in layers])."""
+    x = Tensor(x_data, requires_grad=True)
+    for layer in layers:
+        layer.weight.grad = layer.bias.grad = None
+    out = ad.concat([layer(x) for layer in layers], axis=1)
+    ad.backward(ad.tsum(ad.mul(out, Tensor(w))))
+    return [out.data, x.grad] + [t.grad for layer in layers for t in (layer.weight, layer.bias)]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_fused_linear_equals_composed_graph(monkeypatch, seed):
+    # two layers read one input and their outputs meet in a column concat, so
+    # x sums two gradients and each layer receives a strided slice of one;
+    # seed 0 is the (rows=36, out=16) shape where a transposed view rounds
+    # differently from its copy
+    rng = np.random.default_rng(seed)
+    n, d_in = (36, 64) if seed == 0 else (int(rng.integers(1, 40)), int(rng.integers(1, 70)))
+    outs = (16, 16) if seed == 0 else tuple(int(o) for o in rng.integers(1, 20, size=2))
+    layers = [ad.init_linear(rng, d_out, d_in) for d_out in outs]
+    x_data = rng.standard_normal((n, d_in))
+    w = rng.standard_normal((n, sum(outs)))
+    fused = _linear_pair_grads(x_data, layers, w)
+    with monkeypatch.context() as m:
+        m.setattr(ad, "linear", composed_linear)
+        composed = _linear_pair_grads(x_data, layers, w)
+    for got, want in zip(fused, composed):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_linear_is_one_graph_node():
+    rng = np.random.default_rng(0)
+    layer = ad.init_linear(rng, 3, 5)
+    x = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
+    y = layer(x)
+    assert y._parents == (x, layer.weight, layer.bias)
+    assert ad.grad_check(lambda t: ad.tsum(ad.mul(layer(t), layer(t))), layer.weight) < 1e-6

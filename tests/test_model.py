@@ -5,13 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import doc_from_sections, small_random_doc
+from helpers import doc_from_sections, planted_corpus, small_random_doc
 from sectsum import autodiff as ad
 from sectsum.attention import select_global
 from sectsum.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from sectsum.config import RunConfig
 from sectsum.model import Model
 from sectsum.rouge import stable_seed
+from sectsum.training import ce_loss
 
 
 def _cfg(**over):
@@ -120,6 +121,29 @@ def test_forward_backward_reaches_every_relevant_parameter():
         assert name in got_grad, name
     model.zero_grads()
     assert all(t.grad is None for t in model.parameters().values())
+
+
+def _graph_nodes(loss: ad.Tensor) -> int:
+    seen = {id(loss)}
+    stack = [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def test_loss_graph_size_does_not_grow_with_document_length():
+    # window 50: one attention chunk at n=40, three at n=120, ten at n=480;
+    # the band and the global rows are one node per head at every length
+    model = Model(RunConfig(d_model=16, window=50))
+    counts = {}
+    for n in (40, 120, 480):
+        item = planted_corpus(n_docs=1, n_sentences=n, n_sections=4)[0]
+        counts[n] = _graph_nodes(ce_loss(model.forward(item.document), item.labels))
+    assert counts[120] == counts[480]
+    assert counts[40] <= 360
 
 
 def test_checkpoint_round_trip_through_model(tmp_path):

@@ -16,6 +16,7 @@ from sectsum.extractor import selection_budget
 from sectsum.rouge import (
     ZERO_SCORE,
     RougeScore,
+    _lcs_length,
     extract_f1,
     ngrams,
     oracle_labels,
@@ -123,6 +124,38 @@ def test_rouge_l_matches_brute_force_subsequence(cand, ref):
     lcs = _lcs_brute(cand, ref)
     assert score.recall == pytest.approx(lcs / len(ref))
     assert score.precision == pytest.approx(lcs / len(cand))
+
+
+def _lcs_dp(a, b):
+    # the one-row dynamic programme the bit-parallel form replaced
+    if len(b) > len(a):
+        a, b = b, a
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        curr = [0]
+        for j, y in enumerate(b, start=1):
+            curr.append(prev[j - 1] + 1 if x == y else max(prev[j], curr[j - 1]))
+        prev = curr
+    return prev[-1]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_lcs_length_equals_dynamic_programme(data):
+    # vocabularies of 1-60 words cover all-match, sparse-match and no-match
+    # pairs; lengths up to 150 cross the 64-bit word boundary of the mask
+    vocab = [f"w{i}" for i in range(data.draw(st.integers(1, 60)))]
+    a = data.draw(st.lists(st.sampled_from(vocab), max_size=150))
+    b = data.draw(st.lists(st.sampled_from(vocab), max_size=150))
+    assert _lcs_length(a, b) == _lcs_dp(a, b)
+    assert _lcs_length(b, a) == _lcs_dp(a, b)
+
+
+def test_lcs_length_fixtures():
+    assert _lcs_length([], ["a"]) == 0
+    assert _lcs_length(["a", "b", "c", "d"], ["a", "c", "b", "d"]) == 3
+    assert _lcs_length(["x"] * 70, ["x"] * 65) == 65
+    assert _lcs_length(list("abcabba"), list("cbabac")) == 4
 
 
 @given(token_lists, token_lists, st.integers(min_value=1, max_value=2))
