@@ -12,6 +12,11 @@ Pad positions are excluded with additive -1e9 scores before the softmax, and
 pad rows are zeroed after it: a softmax over an all-masked row is uniform
 noise, so an explicit validity multiply is required.
 
+Everything the path needs from the mask alone (the band chunks and their
+additive masks, the global rows, the validity columns) is its
+:class:`BandLayout`, built once per mask and shared by every layer and every
+forward that reuses the mask.
+
 The sliding view and the sparse layer run one path (:func:`_attention`).
 Per head it records two graph nodes, the band (:func:`_banded_rows`) and the
 global rows (:func:`_global_rows`), each with its backward written out; both
@@ -23,6 +28,7 @@ quadratic baseline in benchmarks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +37,17 @@ import numpy as np
 from . import autodiff as ad
 
 NEG_INF = -1e9
+
+
+@dataclass(frozen=True)
+class BandLayout:
+    """What the sparse path derives from one document's mask, parameters aside."""
+
+    valid_col: np.ndarray     # float column: 1 on real rows, 0 on pad rows
+    glob: np.ndarray          # global rows, ascending
+    keep_col: np.ndarray      # float column: valid rows that are not global
+    valid_scores: np.ndarray  # additive score row: 0 on valid columns, NEG_INF on pad
+    chunks: list[tuple]       # see _band_chunks
 
 
 @dataclass(frozen=True)
@@ -44,6 +61,26 @@ class AttentionMask:
     values: np.ndarray
     window: int
     padded_len: int
+
+    @functools.cached_property
+    def layout(self) -> BandLayout:
+        """The band layout of the first (in practice the only) document.
+
+        Built on first use and kept with the mask, so every layer, and every
+        forward that reuses the mask, shares one.
+        """
+        row = self.values[0]
+        valid = row > 0
+        glob = np.nonzero(row == 2)[0]
+        keep_local = valid.copy()
+        keep_local[glob] = False
+        return BandLayout(
+            valid_col=valid.astype(np.float64)[:, None],
+            glob=glob,
+            keep_col=keep_local.astype(np.float64)[:, None],
+            valid_scores=np.where(valid, 0.0, NEG_INF)[None, :],
+            chunks=_band_chunks(valid, self.window, glob),
+        )
 
 
 def build_attention_mask(
@@ -169,7 +206,7 @@ def init_attention_params(
     )
 
 
-def _check_inputs(x: ad.Tensor, mask: AttentionMask, window: int, params: AttentionParams, heads: int):
+def _check_inputs(x: ad.Tensor, mask: AttentionMask, params: AttentionParams, heads: int):
     if mask.values.shape[0] != 1:
         raise ad.DimensionError(
             f"attention ops process one document at a time; mask batch is {mask.values.shape[0]}"
@@ -177,8 +214,8 @@ def _check_inputs(x: ad.Tensor, mask: AttentionMask, window: int, params: Attent
     n_pad = mask.padded_len
     if x.shape != (n_pad, params.d_model):
         raise ad.DimensionError(f"input {x.shape} does not match (padded_len={n_pad}, d={params.d_model})")
-    if n_pad % window != 0:
-        raise ValueError(f"padded length {n_pad} is not a multiple of window {window}")
+    if n_pad % mask.window != 0:
+        raise ValueError(f"padded length {n_pad} is not a multiple of window {mask.window}")
     if len(params.heads) != heads:
         raise ad.DimensionError(f"params carry {len(params.heads)} heads, caller asked for {heads}")
 
@@ -209,9 +246,7 @@ def _split_columns(a: np.ndarray, at: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(a[:, :at]), np.ascontiguousarray(a[:, at:])
 
 
-def _banded_rows(
-    q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, valid_col: np.ndarray, chunks: list[tuple], glob: np.ndarray
-) -> ad.Tensor:
+def _banded_rows(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, layout: BandLayout) -> ad.Tensor:
     """Chunked band attention for one head, recorded as one graph node.
 
     Each chunk of w query rows scores its 3w key span; the glob columns are
@@ -223,11 +258,12 @@ def _banded_rows(
     key copies, contiguous probability halves), as BLAS may round another
     layout differently.
     """
+    valid_col, glob = layout.valid_col, layout.glob
     k_glob_t = k.data[glob].T.copy()
     v_glob = v.data[glob]
     saved = []
     outs = []
-    for lo, hi, klo, khi, additive in chunks:
+    for lo, hi, klo, khi, additive in layout.chunks:
         q_c = q.data[lo:hi]
         k_span_t = k.data[klo:khi].T.copy()
         scores = q_c @ k_span_t + additive
@@ -270,8 +306,7 @@ def _banded_rows(
 
 
 def _global_rows(
-    local: ad.Tensor, q_glob: ad.Tensor, k: ad.Tensor, v: ad.Tensor,
-    valid: np.ndarray, glob: np.ndarray, inv_sqrt_d: float,
+    local: ad.Tensor, q_glob: ad.Tensor, k: ad.Tensor, v: ad.Tensor, layout: BandLayout, inv_sqrt_d: float
 ) -> ad.Tensor:
     """Replace the glob rows of `local` by attention over all valid positions.
 
@@ -279,13 +314,11 @@ def _global_rows(
     before the 1/√d scale; they score every key, pad columns masked, and
     their softmax-weighted values overwrite those rows of the banded output.
     """
+    glob, keep_col = layout.glob, layout.keep_col
     qg = q_glob.data * inv_sqrt_d
     kt = k.data.T.copy()
-    scores = qg @ kt + np.where(valid, 0.0, NEG_INF)[None, :]
+    scores = qg @ kt + layout.valid_scores
     probs = ad.softmax_forward(scores, axis=1)
-    keep_local = valid.copy()
-    keep_local[glob] = False
-    keep_col = keep_local.astype(np.float64)[:, None]
     placed = np.zeros_like(local.data)
     placed[glob] = probs @ v.data
 
@@ -301,39 +334,37 @@ def _global_rows(
     return ad._make(local.data * keep_col + placed, (local, q_glob, k, v), backward)
 
 
-def _attention(
-    x: ad.Tensor, mask: AttentionMask, params: AttentionParams, heads: int, window: int, glob: np.ndarray
-) -> ad.Tensor:
+def _attention(x: ad.Tensor, mask: AttentionMask, params: AttentionParams, heads: int) -> ad.Tensor:
     """The one sparse attention path behind both public sparse forms.
 
-    Per head, every row attends to its chunked band plus the glob columns;
-    rows in glob then replace that output with one over all valid positions
+    Per head, every row attends to its chunked band plus the global columns;
+    global rows then replace that output with one over all valid positions
     through the separate global projections.  The heads are merged,
     output-projected and pad rows zeroed.
     """
-    _check_inputs(x, mask, window, params, heads)
-    valid = mask.values[0] > 0
-    valid_col = valid.astype(np.float64)[:, None]
-    chunks = _band_chunks(valid, window, glob)
+    _check_inputs(x, mask, params, heads)
+    layout = mask.layout
+    glob = layout.glob
     inv_sqrt_d = 1.0 / math.sqrt(params.heads[0].query.out_features)
 
     per_head = []
     for head in params.heads:
         q = ad.scale(head.query(x), inv_sqrt_d)
-        out = _banded_rows(q, head.key(x), head.value(x), valid_col, chunks, glob)
+        out = _banded_rows(q, head.key(x), head.value(x), layout)
         if glob.size:
             q_glob = head.global_query(ad.gather_rows(x, glob))
-            out = _global_rows(out, q_glob, head.global_key(x), head.global_value(x), valid, glob, inv_sqrt_d)
+            out = _global_rows(out, q_glob, head.global_key(x), head.global_value(x), layout, inv_sqrt_d)
         per_head.append(out)
     merged = per_head[0] if heads == 1 else ad.concat(per_head, axis=1)
-    return ad.mul(params.output(merged), ad.Tensor(valid_col))
+    return ad.mul(params.output(merged), ad.Tensor(layout.valid_col))
 
 
 def sliding_window_attention(
     x: ad.Tensor, mask: AttentionMask, params: AttentionParams, window: int, heads: int
 ) -> ad.Tensor:
     """Pure banded local attention at `window`; global marks count as local."""
-    return _attention(x, mask, params, heads, window, np.zeros(0, dtype=np.int64))
+    local = AttentionMask(values=np.minimum(mask.values, 1), window=window, padded_len=mask.padded_len)
+    return _attention(x, local, params, heads)
 
 
 def global_attention(x: ad.Tensor, mask: AttentionMask, params: AttentionParams, heads: int) -> ad.Tensor:
@@ -344,7 +375,7 @@ def global_attention(x: ad.Tensor, mask: AttentionMask, params: AttentionParams,
     global projections.  With no global rows this reduces exactly to
     :func:`sliding_window_attention`.
     """
-    return _attention(x, mask, params, heads, mask.window, np.nonzero(mask.values[0] == 2)[0])
+    return _attention(x, mask, params, heads)
 
 
 def full_attention_reference(
@@ -355,7 +386,7 @@ def full_attention_reference(
     Kept apart from :func:`_attention`, global branch included, so tests
     check the sparse path against independent code.
     """
-    _check_inputs(x, mask, mask.window, params, heads)
+    _check_inputs(x, mask, params, heads)
     mask_vals = mask.values[0]
     n_pad = mask.padded_len
     valid = mask_vals > 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
+from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -82,22 +82,19 @@ def create_encoder(name: str, d: int, seed: int = 0) -> SentenceEncoder:
     return factory(d=d, seed=seed)
 
 
-def sinusoid_position(pos: int, d: int) -> np.ndarray:
-    """Classic sinusoid position vector: entry 2i = sin(pos/10000^(2i/d)), 2i+1 = cos."""
-    if pos < 0:
-        raise ValueError(f"sinusoid_position: pos must be >= 0, got {pos}")
-    if d % 2 != 0:
-        raise ValueError(f"sinusoid_position: d must be even, got {d}")
-    i = np.arange(d // 2, dtype=np.float64)
-    angles = pos / np.power(10000.0, 2.0 * i / d)
-    out = np.empty(d, dtype=np.float64)
-    out[0::2] = np.sin(angles)
-    out[1::2] = np.cos(angles)
-    return out
-
-
 def sinusoid_table(n: int, d: int) -> np.ndarray:
-    return np.stack([sinusoid_position(p, d) for p in range(n)]) if n else np.zeros((0, d))
+    """Classic sinusoid positions, one row per position p < n:
+    entry 2i = sin(p/10000^(2i/d)), entry 2i+1 = cos(p/10000^(2i/d))."""
+    if n < 0:
+        raise ValueError(f"sinusoid_table: n must be >= 0, got {n}")
+    if d % 2 != 0:
+        raise ValueError(f"sinusoid_table: d must be even, got {d}")
+    i = np.arange(d // 2, dtype=np.float64)
+    angles = np.arange(n, dtype=np.float64)[:, None] / np.power(10000.0, 2.0 * i / d)
+    out = np.empty((n, d), dtype=np.float64)
+    out[:, 0::2] = np.sin(angles)
+    out[:, 1::2] = np.cos(angles)
+    return out
 
 
 def encode_sentences(doc: Document, enc: SentenceEncoder, max_chunk_tokens: int) -> np.ndarray:
@@ -136,35 +133,44 @@ def encode_sentences(doc: Document, enc: SentenceEncoder, max_chunk_tokens: int)
     return out
 
 
-def compose_embeddings(
-    semantic: np.ndarray | ad.Tensor,
-    doc: Document,
-    segment_table: ad.Tensor,
-    section_table: ad.Tensor,
-) -> ad.Tensor:
-    """Sentence embedding = semantic + sinusoid position + segment + section.
+@dataclass(frozen=True)
+class EmbeddingInputs:
+    """The parameter-free part of one document's sentence embeddings."""
+
+    base: ad.Tensor       # semantic + sinusoid position, [n x d]
+    parity: np.ndarray    # segment-table row per sentence
+    section: np.ndarray   # section-table row per sentence, clamped to the table
+
+
+def embedding_inputs(semantic: np.ndarray, doc: Document, s_max: int) -> EmbeddingInputs:
+    """Sum the semantic matrix with the sinusoid table and index the tables.
 
     Segment is the parity of the global sentence index (odd/even
-    alternation); section indices past the table clamp to its last row.
+    alternation); section indices past the s_max-row table clamp to its last
+    row, with one logged warning per call.
     """
-    sem = semantic if isinstance(semantic, ad.Tensor) else ad.Tensor(semantic)
     n = doc.n_sentences
-    d = segment_table.shape[1]
-    if sem.shape != (n, d):
-        raise ad.DimensionError(
-            f"semantic matrix {sem.shape} does not match (n_sentences={n}, d={d})"
-        )
-    if section_table.shape[1] != d or segment_table.shape[0] != 2:
+    if semantic.ndim != 2 or semantic.shape[0] != n:
+        raise ad.DimensionError(f"semantic matrix {semantic.shape} does not match n_sentences={n}")
+    section = ad.clamp_indices(
+        np.array([s.section_index for s in doc.sentences], dtype=np.int64),
+        s_max,
+        warn_label="section embedding",
+    )
+    return EmbeddingInputs(
+        base=ad.Tensor(semantic + sinusoid_table(n, semantic.shape[1])),
+        parity=np.arange(n, dtype=np.int64) % 2,
+        section=section,
+    )
+
+
+def compose_embeddings(inputs: EmbeddingInputs, segment_table: ad.Tensor, section_table: ad.Tensor) -> ad.Tensor:
+    """Sentence embedding = (semantic + sinusoid position) + (segment + section)."""
+    d = inputs.base.shape[1]
+    if segment_table.shape != (2, d) or section_table.shape[1] != d:
         raise ad.DimensionError(
             f"table shapes {segment_table.shape}/{section_table.shape} inconsistent with d={d}"
         )
-    positions = ad.Tensor(sinusoid_table(n, d))
-    parity = np.arange(n, dtype=np.int64) % 2
-    sec_idx = ad.clamp_indices(
-        np.array([s.section_index for s in doc.sentences], dtype=np.int64),
-        section_table.shape[0],
-        warn_label="section embedding",
-    )
-    seg = ad.gather_rows(segment_table, parity)
-    sec = ad.gather_rows(section_table, sec_idx)
-    return ad.add(ad.add(sem, positions), ad.add(seg, sec))
+    seg = ad.gather_rows(segment_table, inputs.parity)
+    sec = ad.gather_rows(section_table, inputs.section)
+    return ad.add(inputs.base, ad.add(seg, sec))

@@ -62,19 +62,18 @@ def _embedded_feature(table: ad.Tensor, lin: ad.Linear, indices: np.ndarray) -> 
     return ad.relu(lin(rows))
 
 
-def length_bucket(char_length: int, n_buckets: int, width: int = 10) -> int:
-    if char_length < 0:
-        raise ValueError(f"char_length must be >= 0, got {char_length}")
-    return min(char_length // width, n_buckets - 1)
+def length_bucket(char_length, n_buckets: int, width: int = 10):
+    """Bucket ⌊c / width⌋ of a character length c, or of each in an array,
+    capped at the last of n_buckets."""
+    c = np.asarray(char_length, dtype=np.int64)
+    if c.size and c.min() < 0:
+        raise ValueError(f"char_length must be >= 0, got {int(c.min())}")
+    return np.minimum(c // width, n_buckets - 1)
 
 
 def length_features(char_lengths: np.ndarray, params: FeatureParams) -> ad.Tensor:
     """Batched bucketed-length feature, one row per sentence."""
-    n_buckets = params.length_table.shape[0]
-    buckets = np.array(
-        [length_bucket(int(c), n_buckets, params.length_bucket_width) for c in char_lengths],
-        dtype=np.int64,
-    )
+    buckets = length_bucket(char_lengths, params.length_table.shape[0], params.length_bucket_width)
     return _embedded_feature(params.length_table, params.length_linear, buckets)
 
 
@@ -125,17 +124,44 @@ def saliency_feature(sent_vecs: ad.Tensor, doc_vec: ad.Tensor, params: FeaturePa
     return ad.relu(params.saliency_linear(ad.mul(sal, sent_vecs)))
 
 
-def all_features(doc: Document, sent_vecs: ad.Tensor, params: FeatureParams) -> dict[str, ad.Tensor]:
-    """The five feature matrices for a document given its sentence vectors."""
+@dataclass(frozen=True)
+class FeatureIndices:
+    """Table rows of the three embedded channels, one per sentence."""
+
+    length: np.ndarray    # length bucket
+    position: np.ndarray  # document position, clamped to the table
+    section: np.ndarray   # section index, clamped to the table
+
+
+def feature_indices(doc: Document, params: FeatureParams) -> FeatureIndices:
     sentences = doc.sentences
-    char_lengths = np.array([s.char_length for s in sentences], dtype=np.int64)
     positions = np.array([s.doc_position for s in sentences], dtype=np.int64)
     sections = np.array([s.section_index for s in sentences], dtype=np.int64)
+    return FeatureIndices(
+        length=length_bucket(
+            np.array([s.char_length for s in sentences], dtype=np.int64),
+            params.length_table.shape[0],
+            params.length_bucket_width,
+        ),
+        position=ad.clamp_indices(positions, params.position_table.shape[0], warn_label="position feature"),
+        section=ad.clamp_indices(sections, params.section_table.shape[0], warn_label="section feature"),
+    )
+
+
+def all_features(
+    doc: Document, sent_vecs: ad.Tensor, params: FeatureParams, indices: FeatureIndices | None = None
+) -> dict[str, ad.Tensor]:
+    """The five feature matrices for a document given its sentence vectors.
+
+    `indices` is `feature_indices(doc, params)`, built here when not given.
+    """
+    if indices is None:
+        indices = feature_indices(doc, params)
     doc_vec = document_embedding(sent_vecs, params.doc_weight)
     return {
-        "length": length_features(char_lengths, params),
-        "position": position_features(positions, params),
-        "section": section_features(sections, params),
+        "length": _embedded_feature(params.length_table, params.length_linear, indices.length),
+        "position": _embedded_feature(params.position_table, params.position_linear, indices.position),
+        "section": _embedded_feature(params.section_table, params.section_linear, indices.section),
         "correlation": correlation_feature(sent_vecs, params),
         "saliency": saliency_feature(sent_vecs, doc_vec, params),
     }

@@ -4,16 +4,24 @@ Owns every learned tensor under a stable name so training, checkpointing and
 the CLI all see one flat parameter dict.  Construction order (and therefore
 update order) is fixed, and all randomness flows from the run seed, which is
 what makes two identically-configured training runs bit-identical.
+
+A forward pass splits in two: :meth:`Model.plan` does the work that depends
+only on the document and the config (truncation, encoding, the mask, table
+rows), and :meth:`Model.forward` the work that uses parameters.  The planned
+inputs are the very arrays the forward would have built itself, so a reused
+plan gives the same bits as a fresh one.
 """
 
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .attention import (
+    AttentionMask,
     AttentionParams,
     build_attention_mask,
     init_attention_params,
@@ -23,12 +31,28 @@ from .attention import (
 from .checkpoint import CheckpointError
 from .config import RunConfig, model_hash
 from .corpus import Document, truncate_document
-from .encoder import compose_embeddings, create_encoder, encode_sentences
+from .encoder import EmbeddingInputs, compose_embeddings, create_encoder, embedding_inputs, encode_sentences
 from .extractor import SentenceScores, predict_scores
-from .features import FeatureParams, all_features, init_feature_params
+from .features import FeatureIndices, FeatureParams, all_features, feature_indices, init_feature_params
 from .rouge import stable_seed
 
 log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class DocumentPlan:
+    """The parameter-free inputs of one document's forward pass.
+
+    Built by :meth:`Model.plan` and valid for models of the same config; a
+    plan held across epochs saves re-encoding, and re-warning about, the
+    same document.
+    """
+
+    doc: Document                 # truncated to max_sentences
+    embedding: EmbeddingInputs
+    mask: AttentionMask
+    pad: ad.Tensor | None         # zero rows from n up to mask.padded_len
+    features: FeatureIndices
 
 
 class Model:
@@ -128,27 +152,37 @@ class Model:
             seed=stable_seed(self.cfg.seed, "global", doc.id),
         )
 
-    def forward(self, doc: Document) -> SentenceScores:
+    def plan(self, doc: Document) -> DocumentPlan:
+        """Everything `forward` needs from `doc` that no parameter changes."""
         cfg = self.cfg
         if doc.n_sentences > cfg.max_sentences:
             doc = truncate_document(doc, cfg.max_sentences)
         n = doc.n_sentences
         semantic = encode_sentences(doc, self.encoder, cfg.max_chunk_tokens)
-        embedded = compose_embeddings(semantic, doc, self.segment_table, self.encoder_section_table)
-
         mask = build_attention_mask(
             [n], cfg.window, [self.global_positions(doc)], max_sentences=cfg.max_sentences
         )
-        if mask.padded_len > n:
-            pad = ad.Tensor(np.zeros((mask.padded_len - n, cfg.d_model)))
-            h = ad.concat([embedded, pad], axis=0)
-        else:
-            h = embedded
-        for layer in self.layers:
-            h = transformer_layer(h, mask, layer)
-        sent_vecs = ad.narrow(h, 0, 0, n)
+        return DocumentPlan(
+            doc=doc,
+            embedding=embedding_inputs(semantic, doc, cfg.s_max),
+            mask=mask,
+            pad=ad.Tensor(np.zeros((mask.padded_len - n, cfg.d_model))) if mask.padded_len > n else None,
+            features=feature_indices(doc, self.features),
+        )
 
-        feats = all_features(doc, sent_vecs, self.features)
+    def forward(self, doc: Document, plan: DocumentPlan | None = None) -> SentenceScores:
+        """Sentence scores for `doc`; `plan` is `self.plan(doc)`, built here when not given."""
+        if plan is None:
+            plan = self.plan(doc)
+        elif plan.doc.id != doc.id:
+            raise ValueError(f"plan for document {plan.doc.id!r} passed with document {doc.id!r}")
+        embedded = compose_embeddings(plan.embedding, self.segment_table, self.encoder_section_table)
+        h = embedded if plan.pad is None else ad.concat([embedded, plan.pad], axis=0)
+        for layer in self.layers:
+            h = transformer_layer(h, plan.mask, layer)
+        sent_vecs = ad.narrow(h, 0, 0, plan.doc.n_sentences)
+
+        feats = all_features(plan.doc, sent_vecs, self.features, plan.features)
         return predict_scores(
             sent_vecs,
             feats["length"],
@@ -157,5 +191,5 @@ class Model:
             feats["correlation"],
             feats["saliency"],
             self.output_layer,
-            combine=cfg.combine,
+            combine=self.cfg.combine,
         )

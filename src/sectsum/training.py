@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .config import RunConfig
 from .corpus import LabeledDocument, tokenize, write_table
 from .extractor import SelectionConfig, SentenceScores, select_sentences
-from .model import Model
+from .model import DocumentPlan, Model
 from .rouge import CandidateSet, rouge_l, rouge_n, sample_candidates, stable_seed
 
 log = logging.getLogger(__name__)
@@ -151,9 +151,9 @@ def split_holdout(
     return train, hold
 
 
-def _doc_loss(model: Model, item: LabeledDocument, tcfg: TrainConfig,
+def _doc_loss(model: Model, item: LabeledDocument, plan: DocumentPlan, tcfg: TrainConfig,
               candidate_cache: dict[str, CandidateSet]) -> ad.Tensor:
-    scores = model.forward(item.document)
+    scores = model.forward(item.document, plan)
     if not tcfg.reinforced:
         return ce_loss(scores, item.labels)
     doc_id = item.document.id
@@ -169,20 +169,33 @@ def _doc_loss(model: Model, item: LabeledDocument, tcfg: TrainConfig,
     return candidate_loss(scores, cands)
 
 
-def evaluate_split(model: Model, items: list[LabeledDocument], tcfg: TrainConfig) -> dict:
-    """Frozen-parameter evaluation: mean CE loss + selection ROUGE recalls."""
+def evaluate_split(
+    model: Model,
+    items: list[LabeledDocument],
+    tcfg: TrainConfig,
+    plans: list[DocumentPlan] | None = None,
+    references: list[list[str]] | None = None,
+) -> dict:
+    """Frozen-parameter evaluation: mean CE loss + selection ROUGE recalls.
+
+    `plans` and `references` (each item's plan and tokenized reference
+    summary) are built here when not given.
+    """
+    if plans is None:
+        plans = [model.plan(item.document) for item in items]
+    if references is None:
+        references = [tokenize(item.document.reference_summary) for item in items]
     sel = SelectionConfig(budget_ratio=tcfg.budget_ratio, trigram_threshold=tcfg.trigram_threshold)
     losses, r1s, r2s, rls = [], [], [], []
     with ad.no_grad():
-        for item in items:
-            scores = model.forward(item.document)
+        for item, plan, ref_tokens in zip(items, plans, references):
+            scores = model.forward(item.document, plan)
             losses.append(float(ce_loss(scores, item.labels).data))
             picked = select_sentences(item.document, scores, sel)
             sentences = item.document.sentences
             cand_tokens: list[str] = []
             for i in picked:
                 cand_tokens.extend(sentences[i].tokens)
-            ref_tokens = tokenize(item.document.reference_summary)
             r1s.append(rouge_n(cand_tokens, ref_tokens, 1).recall)
             r2s.append(rouge_n(cand_tokens, ref_tokens, 2).recall)
             rls.append(rouge_l(cand_tokens, ref_tokens).recall)
@@ -206,6 +219,10 @@ def train(model: Model, dataset: list[LabeledDocument], tcfg: TrainConfig) -> Tr
     d_model = model.cfg.d_model
     epoch_rng = np.random.default_rng(stable_seed(tcfg.seed, "epoch-order"))
     candidate_cache: dict[str, CandidateSet] = {}
+    # parameter-free inputs, built once and reused by every epoch
+    train_plans = [model.plan(item.document) for item in train_set]
+    holdout_plans = [model.plan(item.document) for item in holdout]
+    holdout_refs = [tokenize(item.document.reference_summary) for item in holdout]
 
     pending = 0
     last_lr = 0.0
@@ -227,7 +244,7 @@ def train(model: Model, dataset: list[LabeledDocument], tcfg: TrainConfig) -> Tr
         epoch_losses = []
         for idx in order:
             item = train_set[int(idx)]
-            loss = _doc_loss(model, item, tcfg, candidate_cache)
+            loss = _doc_loss(model, item, train_plans[int(idx)], tcfg, candidate_cache)
             loss_val = float(loss.data)
             if not math.isfinite(loss_val):
                 raise TrainingError(
@@ -236,6 +253,7 @@ def train(model: Model, dataset: list[LabeledDocument], tcfg: TrainConfig) -> Tr
                 )
             epoch_losses.append(loss_val)
             ad.backward(loss)
+            del loss  # free this graph before the next forward builds one
             pending += 1
             if pending == tcfg.accumulation_steps:
                 apply_update(flush=False)
@@ -248,7 +266,7 @@ def train(model: Model, dataset: list[LabeledDocument], tcfg: TrainConfig) -> Tr
         }
         result.metrics.append(train_row)
         if holdout:
-            ev = evaluate_split(model, holdout, tcfg)
+            ev = evaluate_split(model, holdout, tcfg, holdout_plans, holdout_refs)
             result.metrics.append({"epoch": epoch, "split": "holdout", "lr": last_lr, **ev})
         log.info(
             "epoch %d: train loss %.4f%s", epoch, train_row["loss"],

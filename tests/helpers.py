@@ -123,11 +123,12 @@ def composed_linear(x, layer):
     return ad.add(ad.matmul(x, ad.transpose(layer.weight)), layer.bias)
 
 
-def composed_banded_rows(q, k, v, valid_col, chunks, glob):
+def composed_banded_rows(q, k, v, layout):
     """The chunked band as narrow/transpose/matmul/softmax/concat per chunk."""
     n_pad = q.shape[0]
-    window = chunks[0][1] - chunks[0][0]
-    valid = valid_col[:, 0] > 0
+    window = layout.chunks[0][1] - layout.chunks[0][0]
+    valid = layout.valid_col[:, 0] > 0
+    glob = layout.glob
     band_ok = valid.copy()
     if glob.size:
         band_ok[glob] = False
@@ -158,9 +159,11 @@ def composed_banded_rows(q, k, v, valid_col, chunks, glob):
     return ad.mul(banded, ad.Tensor(valid.astype(np.float64)[:, None]))
 
 
-def composed_global_rows(local, q_glob, k, v, valid, glob, inv_sqrt_d):
+def composed_global_rows(local, q_glob, k, v, layout, inv_sqrt_d):
     """The global-row branch as scale → transpose → matmul → mask → softmax →
     matmul → keep_local → scatter_rows → add."""
+    valid = layout.valid_col[:, 0] > 0
+    glob = layout.glob
     scores = ad.matmul(ad.scale(q_glob, inv_sqrt_d), ad.transpose(k))
     scores = ad.add(scores, ad.Tensor(np.where(valid, 0.0, NEG_INF)[None, :]))
     glob_out = ad.matmul(ad.softmax(scores, axis=1), v)
@@ -170,3 +173,17 @@ def composed_global_rows(local, q_glob, k, v, valid, glob, inv_sqrt_d):
         ad.mul(local, ad.Tensor(keep_local.astype(np.float64)[:, None])),
         ad.scatter_rows(glob_out, glob, valid.size),
     )
+
+
+def sinusoid_rows(n: int, d: int) -> np.ndarray:
+    """The sinusoid table built row by row, the reference for the vectorised one."""
+
+    def row(pos: int) -> np.ndarray:
+        i = np.arange(d // 2, dtype=np.float64)
+        angles = pos / np.power(10000.0, 2.0 * i / d)
+        out = np.empty(d, dtype=np.float64)
+        out[0::2] = np.sin(angles)
+        out[1::2] = np.cos(angles)
+        return out
+
+    return np.stack([row(p) for p in range(n)]) if n else np.zeros((0, d))

@@ -375,22 +375,20 @@ def test_fused_layer_equals_composed_graph_on_edge_cases(monkeypatch, n, window,
 def test_band_and_global_ops_pass_gradient_checks():
     # multi-chunk, globals in the band and pad rows: the 1e-4 layer bound of criterion 03
     mask = build_attention_mask([11], 3, [[2, 7]])
-    valid = mask.values[0] > 0
-    glob = np.nonzero(mask.values[0] == 2)[0]
-    chunks = attention._band_chunks(valid, 3, glob)
+    layout = mask.layout
+    glob = layout.glob
     rng = np.random.default_rng(4)
     q, k, v, q_glob, local = (
         Tensor(rng.standard_normal(shape), requires_grad=True)
         for shape in [(mask.padded_len, 3)] * 3 + [(glob.size, 3), (mask.padded_len, 3)]
     )
     w = Tensor(rng.standard_normal((mask.padded_len, 3)))
-    valid_col = valid.astype(np.float64)[:, None]
 
     def band_loss(_):
-        return ad.tsum(ad.mul(attention._banded_rows(q, k, v, valid_col, chunks, glob), w))
+        return ad.tsum(ad.mul(attention._banded_rows(q, k, v, layout), w))
 
     def global_loss(_):
-        return ad.tsum(ad.mul(attention._global_rows(local, q_glob, k, v, valid, glob, 0.5), w))
+        return ad.tsum(ad.mul(attention._global_rows(local, q_glob, k, v, layout, 0.5), w))
 
     for target in (q, k, v):
         assert ad.grad_check(band_loss, target) < 1e-4

@@ -1,4 +1,4 @@
-"""Stub sentence encoder, sinusoid positions, chunked encoding, composition."""
+"""Stub sentence encoder, sinusoid table, chunked encoding, composition."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import doc_from_sections
+from helpers import doc_from_sections, sinusoid_rows
 from sectsum import autodiff as ad
 from sectsum.autodiff import DimensionError, Tensor
 from sectsum.encoder import (
@@ -17,8 +17,8 @@ from sectsum.encoder import (
     compose_embeddings,
     create_encoder,
     encode_sentences,
+    embedding_inputs,
     register_encoder,
-    sinusoid_position,
     sinusoid_table,
 )
 
@@ -95,36 +95,41 @@ def test_encoder_registry():
 # ---------------------------------------------------------------------------
 
 
-def test_sinusoid_position_zero_alternates_zero_one():
-    np.testing.assert_array_equal(sinusoid_position(0, 6), [0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+def test_sinusoid_table_row_zero_alternates_zero_one():
+    np.testing.assert_array_equal(sinusoid_table(1, 6)[0], [0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
 
 
-def test_sinusoid_position_one_fixture():
-    vec = sinusoid_position(1, 4)
+def test_sinusoid_table_row_one_fixture():
+    vec = sinusoid_table(2, 4)[1]
     assert vec[0] == pytest.approx(math.sin(1.0))
     assert vec[1] == pytest.approx(math.cos(1.0))
     assert vec[2] == pytest.approx(math.sin(1.0 / 10000.0 ** (2.0 / 4.0)))
     assert vec[3] == pytest.approx(math.cos(1.0 / 10000.0 ** (2.0 / 4.0)))
 
 
-def test_sinusoid_position_validates_arguments():
-    with pytest.raises(ValueError, match="pos"):
-        sinusoid_position(-1, 4)
-    with pytest.raises(ValueError, match="even"):
-        sinusoid_position(0, 3)
+def test_sinusoid_table_validates_arguments():
+    for n in (0, 1, 2, 40):
+        with pytest.raises(ValueError, match="sinusoid_table: d must be even"):
+            sinusoid_table(n, 3)
+    with pytest.raises(ValueError, match="sinusoid_table: n"):
+        sinusoid_table(-1, 4)
 
 
 def test_sinusoid_table_shapes():
     assert sinusoid_table(0, 4).shape == (0, 4)
-    table = sinusoid_table(3, 4)
-    assert table.shape == (3, 4)
-    np.testing.assert_array_equal(table[2], sinusoid_position(2, 4))
+    assert sinusoid_table(3, 4).shape == (3, 4)
+
+
+@pytest.mark.parametrize("n", [0, 1, 40, 500])
+@pytest.mark.parametrize("d", [2, 64])
+def test_sinusoid_table_equals_row_by_row_reference(n, d):
+    assert np.array_equal(sinusoid_table(n, d), sinusoid_rows(n, d))
 
 
 @given(st.integers(min_value=0, max_value=500), st.sampled_from([2, 8, 64]))
 @settings(max_examples=40)
 def test_sinusoid_entries_bounded(pos, d):
-    vec = sinusoid_position(pos, d)
+    vec = sinusoid_table(pos + 1, d)[pos]
     assert np.all(np.abs(vec) <= 1.0)
 
 
@@ -197,11 +202,12 @@ def test_compose_embeddings_is_the_four_way_sum():
     d = 4
     segment, section = _tables(d, s_max=3)
     semantic = np.arange(3 * d, dtype=np.float64).reshape(3, d)
-    out = compose_embeddings(semantic, doc, segment, section).data
+    out = compose_embeddings(embedding_inputs(semantic, doc, 3), segment, section).data
+    positions = sinusoid_table(3, d)
     for i, sent in enumerate(doc.sentences):
         expected = (
             semantic[i]
-            + sinusoid_position(i, d)
+            + positions[i]
             + segment.data[i % 2]
             + section.data[sent.section_index]
         )
@@ -211,11 +217,11 @@ def test_compose_embeddings_is_the_four_way_sum():
 def test_compose_embeddings_clamps_section_index(caplog):
     doc = doc_from_sections("d", [["a"], ["b"], ["c"]])  # three sections
     segment, section = _tables(4, s_max=2)
-    out = compose_embeddings(np.zeros((3, 4)), doc, segment, section).data
+    out = compose_embeddings(embedding_inputs(np.zeros((3, 4)), doc, 2), segment, section).data
     assert any("clamped" in r.message for r in caplog.records)
     # sentence 2 (section 2) clamps to section row 1
     np.testing.assert_allclose(
-        out[2], sinusoid_position(2, 4) + segment.data[0] + section.data[1]
+        out[2], sinusoid_table(3, 4)[2] + segment.data[0] + section.data[1]
     )
 
 
@@ -223,16 +229,16 @@ def test_compose_embeddings_validates_shapes():
     doc = doc_from_sections("d", [["a b", "c d"]])
     segment, section = _tables(4, s_max=2)
     with pytest.raises(DimensionError, match="semantic"):
-        compose_embeddings(np.zeros((3, 4)), doc, segment, section)
+        embedding_inputs(np.zeros((3, 4)), doc, 2)
     with pytest.raises(DimensionError):
-        compose_embeddings(np.zeros((2, 4)), doc, Tensor(np.zeros((3, 4))), section)
+        compose_embeddings(embedding_inputs(np.zeros((2, 4)), doc, 2), Tensor(np.zeros((3, 4))), section)
 
 
 def test_compose_embeddings_gradients_reach_tables():
     doc = doc_from_sections("d", [["a b", "c d", "e f"]])
     segment = Tensor(np.zeros((2, 4)), requires_grad=True)
     section = Tensor(np.zeros((1, 4)), requires_grad=True)
-    out = compose_embeddings(np.zeros((3, 4)), doc, segment, section)
+    out = compose_embeddings(embedding_inputs(np.zeros((3, 4)), doc, 1), segment, section)
     ad.backward(ad.tsum(out))
     # parity 0 appears twice (positions 0 and 2), parity 1 once
     np.testing.assert_allclose(segment.grad[:, 0], [2.0, 1.0])

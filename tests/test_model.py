@@ -7,12 +7,13 @@ import pytest
 
 from helpers import doc_from_sections, planted_corpus, small_random_doc
 from sectsum import autodiff as ad
+from sectsum import model as model_module
 from sectsum.attention import select_global
 from sectsum.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from sectsum.config import RunConfig
 from sectsum.model import Model
 from sectsum.rouge import stable_seed
-from sectsum.training import ce_loss
+from sectsum.training import TrainConfig, ce_loss, train
 
 
 def _cfg(**over):
@@ -186,3 +187,98 @@ def test_concat_combine_mode_runs_end_to_end():
     with ad.no_grad():
         scores = model.forward(doc)
     assert len(scores) == doc.n_sentences
+
+
+# ---------------------------------------------------------------------------
+# the per-document plan
+# ---------------------------------------------------------------------------
+
+
+def _plan_doc(n: int):
+    if n == 1:
+        return doc_from_sections("one", [["a single sentence"]])
+    return planted_corpus(n_docs=1, n_sentences=n, n_sections=4)[0].document
+
+
+def _scores_and_grads(model: Model, doc, plan=None) -> list:
+    model.zero_grads()
+    scores = model.forward(doc) if plan is None else model.forward(doc, plan)
+    labels = [i % 2 for i in range(len(scores))]
+    ad.backward(ce_loss(scores, labels))
+    return [scores.values] + [t.grad for t in model.parameters().values()]
+
+
+@pytest.mark.parametrize(
+    "n, over",
+    [
+        (1, {}),
+        (40, {}),
+        (120, {}),                           # three attention chunks
+        (480, {}),                           # ten chunks
+        (60, {"max_sentences": 30}),         # truncated to 30
+        (40, {"s_max": 2}),                  # sections 2 and 3 clamp
+        (40, {"combine": "concat"}),
+        (120, {"global_policy": "random"}),
+    ],
+    ids=["n1", "n40", "n120", "n480", "truncated", "clamped-section", "concat", "random-globals"],
+)
+def test_forward_with_plan_equals_forward_without_plan(n, over):
+    model = Model(RunConfig(**{"d_model": 16, "heads": 2, "window": 50, **over}))
+    doc = _plan_doc(n)
+    plain = _scores_and_grads(model, doc)
+    plan = model.plan(doc)
+    for _ in range(2):  # a plan is not changed by the forwards that use it
+        planned = _scores_and_grads(model, doc, plan)
+        assert len(planned) == len(plain)
+        for got, want in zip(planned, plain):
+            assert (got is None and want is None) or (
+                got.shape == want.shape and np.array_equal(got, want)
+            )
+
+
+def test_forward_rejects_the_plan_of_another_document():
+    model = Model(_cfg())
+    with pytest.raises(ValueError, match="plan for document"):
+        model.forward(small_random_doc(1), model.plan(small_random_doc(2)))
+
+
+def test_plan_warns_once_and_forwards_with_it_never(caplog):
+    model = Model(_cfg(max_sentences=5, s_max=1))
+    doc = small_random_doc(7)  # six sentences in two sections
+    plan = model.plan(doc)
+    with ad.no_grad():
+        for _ in range(3):
+            model.forward(doc, plan)
+    messages = [r.getMessage() for r in caplog.records]
+    for what in ("truncated", "section embedding", "section feature"):
+        assert sum(what in m for m in messages) == 1, what
+
+
+def _train_setup():
+    data = planted_corpus(n_docs=8, n_sentences=12, n_sections=3, n_planted=3)
+    cfg = _cfg(layers=1, s_max=2)  # every document has a section index 2 >= s_max
+    tcfg = TrainConfig(epochs=3, holdout_ratio=0.25, accumulation_steps=2, warmup_steps=2)
+    return Model(cfg), data, tcfg
+
+
+def test_train_encodes_each_document_once(monkeypatch):
+    model, data, tcfg = _train_setup()
+    encoded = []
+    original = model_module.encode_sentences
+
+    def counting(doc, *args):
+        encoded.append(doc.id)
+        return original(doc, *args)
+
+    monkeypatch.setattr(model_module, "encode_sentences", counting)
+    result = train(model, data, tcfg)
+    assert result.holdout_ids
+    assert sorted(encoded) == sorted(item.document.id for item in data)
+
+
+def test_train_warns_of_a_clamped_section_once_per_document(caplog):
+    model, data, tcfg = _train_setup()
+    train(model, data, tcfg)
+    clamped = [r for r in caplog.records
+               if "section embedding" in r.getMessage() and "clamped" in r.getMessage()]
+    assert len(clamped) == len(data)
