@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -81,17 +82,18 @@ class LabeledDocument:
             raise ValueError(f"doc {self.document.id}: labels must be 0/1")
 
 
+_DROPPED = re.compile(r"[^\w\s]|_")
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase, drop non-alphanumeric characters, split on whitespace.
 
     Punctuation is removed (not replaced by spaces), so "don't" -> "dont".
-    Idempotent on its own space-joined output.
+    Idempotent on its own space-joined output.  A character is kept iff
+    ``ch.isalnum() or ch.isspace()``: `\\w` is exactly `isalnum` plus the
+    underscore, and `\\s` exactly `isspace`.
     """
-    cleaned = []
-    for ch in text.lower():
-        if ch.isalnum() or ch.isspace():
-            cleaned.append(ch)
-    return "".join(cleaned).split()
+    return _DROPPED.sub("", text.lower()).split()
 
 
 def _require(obj: dict, key: str, kind, where: str):

@@ -1,6 +1,6 @@
 """ROUGE-1/2/L scoring, the selection reward, oracle labels and candidates.
 
-Scores use clipped multiset n-gram counts and a dynamic-programming LCS; no
+Scores use clipped multiset n-gram counts and a bit-parallel LCS; no
 stemming or stopword removal, so values are comparable only within this
 package.  The greedy oracle converts an abstractive reference into 0/1
 sentence labels by repeatedly adding the sentence with the largest gain in
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from bisect import bisect_left, insort
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 
@@ -141,86 +141,100 @@ def extract_f1(doc: Document, selected: list[int] | np.ndarray) -> float:
     return total
 
 
-def _clipped_gain(extract: Counter, change: dict, ref: Counter) -> int:
-    """Change in the clipped overlap Σ min(extract[g], ref[g]) when `change` is added.
+def _overlap_gain(e: np.ndarray, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Change in the clipped overlap min(e, r) of each n-gram when its count moves by c."""
+    return np.minimum(e + c, r) - np.minimum(e, r)
 
-    Every key of `change` must be a reference n-gram.
+
+def _f1(overlap: np.ndarray, cand_total: np.ndarray, ref_total: int) -> np.ndarray:
+    """`_score_counts(...).f1` elementwise, with the same float steps."""
+    if ref_total == 0:
+        return np.zeros(overlap.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(cand_total > 0, overlap / cand_total, 0.0)
+        recall = overlap / ref_total
+        denom = precision + recall
+        return np.where(denom > 0, 2.0 * precision * recall / denom, 0.0)
+
+
+_SENTINEL = np.iinfo(np.int64).max  # closes a sorted key table, above every key
+
+
+class _OracleTables:
+    """A document's sentences as flat arrays of reference n-gram hits.
+
+    Reference unigrams get ids; a bigram of ids (a, b) has the code
+    ``a * n1 + b`` and its column is its rank among the reference's bigram
+    codes.  Each sentence's own hits are counted once into ``(sentence,
+    column, count)`` rows sorted by sentence, then column.  N-grams outside
+    the reference cannot change the clipped overlap, so they are dropped.
     """
-    gain = 0
-    for g, c in change.items():
-        e, r = extract.get(g, 0), ref[g]
-        gain += min(e + c, r) - min(e, r)
-    return gain
 
+    def __init__(self, sentences, ref_tokens: list[str]):
+        ids: dict[str, int] = {}
+        for tok in ref_tokens:
+            ids.setdefault(tok, len(ids))
+        self.n1 = len(ids)
+        ref_ids = np.array([ids[tok] for tok in ref_tokens], dtype=np.int64)
+        self.ref1 = np.bincount(ref_ids, minlength=self.n1)
+        codes, self.ref2 = np.unique(ref_ids[:-1] * self.n1 + ref_ids[1:], return_counts=True)
+        self.codes2 = np.append(codes, _SENTINEL)
 
-class _RunningExtract:
-    """ROUGE-1/2 overlap counts of a growing extract joined in document order.
+        n = len(sentences)
+        self.lengths = np.array([len(s.tokens) for s in sentences], dtype=np.int64)
+        self.has_tokens = self.lengths > 0
+        tok = np.array([ids.get(w, -1) for s in sentences for w in s.tokens], dtype=np.int64)
+        owner = np.repeat(np.arange(n), self.lengths)
+        ends = np.cumsum(self.lengths)[self.has_tokens]
+        self.first = np.full(n, -1, dtype=np.int64)  # -1: not a reference unigram
+        self.last = np.full(n, -1, dtype=np.int64)
+        self.first[self.has_tokens] = tok[ends - self.lengths[self.has_tokens]]
+        self.last[self.has_tokens] = tok[ends - 1]
 
-    Each sentence's unigrams and bigrams are counted once, keeping only those
-    the reference contains.  Scoring a candidate sentence then costs its own
-    n-grams plus the two sentence boundaries it changes, not a recount of the
-    whole extract.
-    """
+        hit = tok >= 0
+        self.uni = self._rows(owner[hit], tok[hit], self.n1)
+        inside = owner[:-1] == owner[1:]
+        col, found = self.bigram_columns(tok[:-1][inside], tok[1:][inside])
+        self.bi = self._rows(owner[:-1][inside][found], col[found], self.ref2.size)
+        self.bi_keys = np.append(self.bi[0] * self.ref2.size + self.bi[1], _SENTINEL)
+        self.bi_counts = np.append(self.bi[2], 0)
 
-    def __init__(self, sentences, refs: list[tuple[Counter, int]]):
-        (self.ref1, self.ref1_total), (self.ref2, self.ref2_total) = refs
-        self.tokens = [s.tokens for s in sentences]
-        self.unigrams = [{g: c for g, c in ngrams(t, 1).items() if g in self.ref1} for t in self.tokens]
-        self.bigrams = [{g: c for g, c in ngrams(t, 2).items() if g in self.ref2} for t in self.tokens]
-        self.counts1: Counter = Counter()
-        self.counts2: Counter = Counter()
-        self.overlap1 = self.overlap2 = self.total = 0
-        self.joined: list[int] = []  # selected sentences with tokens, in document order
+    @staticmethod
+    def _rows(owner: np.ndarray, col: np.ndarray, n_cols: int):
+        keys, counts = np.unique(owner * n_cols + col, return_counts=True)
+        return keys // max(n_cols, 1), keys % max(n_cols, 1), counts
 
-    def _bigram_change(self, i: int) -> dict:
-        """Reference bigrams the extract gains (or, at a broken boundary, loses) with sentence i.
+    def bigram_columns(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Column of each bigram (a, b) of unigram ids, and whether the reference has it."""
+        codes = a * self.n1 + b
+        col = np.searchsorted(self.codes2, codes)
+        return col, (a >= 0) & (b >= 0) & (self.codes2[col] == codes)
 
-        With j and k the nearest joined sentences before and after i, the
-        bigram (last of j, first of k) gives way to (last of j, first of i)
-        and (last of i, first of k).  A sentence without tokens changes no
-        boundary.
+    def own_bigrams(self, owner: np.ndarray, col: np.ndarray) -> np.ndarray:
+        """How often each sentence `owner` holds the reference bigram `col` itself."""
+        keys = owner * self.ref2.size + col
+        at = np.searchsorted(self.bi_keys, keys)
+        return np.where(self.bi_keys[at] == keys, self.bi_counts[at], 0)
+
+    def boundary_change(self, joined: np.ndarray, cand: np.ndarray):
+        """Reference bigrams each candidate makes (+1) or breaks (-1) where it joins the extract.
+
+        With j and k the nearest joined sentences before and after candidate
+        i, the bigram (last of j, first of k) gives way to (last of j, first
+        of i) and (last of i, first of k).  Returns ``(candidate, column,
+        delta)`` rows, a candidate's coinciding bigrams summed into one.
         """
-        toks = self.tokens
-        change = self.bigrams[i]
-        if not toks[i]:
-            return change
-        at = bisect_left(self.joined, i)
-        j = self.joined[at - 1] if at > 0 else None
-        k = self.joined[at] if at < len(self.joined) else None
-        boundary = []
-        if j is not None:
-            boundary.append(((toks[j][-1], toks[i][0]), 1))
-        if k is not None:
-            boundary.append(((toks[i][-1], toks[k][0]), 1))
-            if j is not None:
-                boundary.append(((toks[j][-1], toks[k][0]), -1))
-        boundary = [(g, c) for g, c in boundary if g in self.ref2]
-        if boundary:
-            change = dict(change)
-            for g, c in boundary:
-                change[g] = change.get(g, 0) + c
-        return change
-
-    def score_with(self, i: int) -> float:
-        """ROUGE-1 F1 + ROUGE-2 F1 of the extract with sentence i added.
-
-        The same arithmetic as `extract_f1`, from the same integer counts.
-        """
-        total = self.total + len(self.tokens[i])
-        overlap1 = self.overlap1 + _clipped_gain(self.counts1, self.unigrams[i], self.ref1)
-        overlap2 = self.overlap2 + _clipped_gain(self.counts2, self._bigram_change(i), self.ref2)
-        return (0.0 + _score_counts(overlap1, total, self.ref1_total).f1
-                + _score_counts(overlap2, max(total - 1, 0), self.ref2_total).f1)
-
-    def add(self, i: int) -> None:
-        change = self._bigram_change(i)
-        self.overlap1 += _clipped_gain(self.counts1, self.unigrams[i], self.ref1)
-        self.overlap2 += _clipped_gain(self.counts2, change, self.ref2)
-        self.counts1.update(self.unigrams[i])
-        self.counts2.update(change)
-        self.total += len(self.tokens[i])
-        if self.tokens[i]:
-            insort(self.joined, i)
+        at = np.searchsorted(joined, cand)
+        has_j, has_k = at > 0, at < joined.size
+        padded = np.append(joined, -1)  # index -1 and joined.size both land on the pad
+        j, k = padded[at - 1], padded[at]
+        col, found = self.bigram_columns(np.concatenate([self.last[j], self.last[cand], self.last[j]]),
+                                         np.concatenate([self.first[cand], self.first[k], self.first[k]]))
+        keep = found & np.concatenate([has_j, has_k, has_j & has_k])
+        delta = np.repeat(np.array([1, 1, -1]), cand.size)[keep]
+        n_cols = max(self.ref2.size, 1)
+        keys, where = np.unique(np.tile(cand, 3)[keep] * n_cols + col[keep], return_inverse=True)
+        return keys // n_cols, keys % n_cols, np.bincount(where, delta, minlength=keys.size).astype(np.int64)
 
 
 def oracle_labels(doc: Document, budget: int) -> np.ndarray:
@@ -230,34 +244,60 @@ def oracle_labels(doc: Document, budget: int) -> np.ndarray:
     in (ROUGE-1 F1 + ROUGE-2 F1) of the running extract; ties go to the
     earlier sentence.  Stops when no sentence improves the score or the
     budget is reached.  An empty reference yields all-zero labels (logged).
-    Each candidate is scored by its change to the running extract, so a
-    round costs time linear in the document's tokens.
+
+    A round scores every candidate in a few array passes: the clipped-overlap
+    gain of its own reference n-grams, corrected by the bigrams it makes and
+    breaks at its boundaries, then both F1s with the same integer counts and
+    float steps as `extract_f1`.
     """
     if budget < 1:
         raise ValueError(f"oracle_labels: budget must be >= 1, got {budget}")
     n = doc.n_sentences
     labels = np.zeros(n, dtype=np.int64)
-    refs = _reference_counts(doc.reference_summary)
-    if refs[0][1] == 0:
+    ref_tokens = tokenize(doc.reference_summary)
+    if not ref_tokens:
         log.warning("doc %s: empty reference summary, oracle labels all zero", doc.id)
         return labels
 
-    extract = _RunningExtract(doc.sentences, refs)
-    chosen = 0
+    t = _OracleTables(doc.sentences, ref_tokens)
+    s1, c1, k1 = t.uni
+    s2, c2, k2 = t.bi
+    e1 = np.zeros(t.ref1.size, dtype=np.int64)  # the extract's reference n-gram counts
+    e2 = np.zeros(t.ref2.size, dtype=np.int64)
+    overlap1 = overlap2 = total = 0
+    joined: list[int] = []  # selected sentences with tokens, in document order
+    with_tokens = np.nonzero(t.has_tokens)[0]  # a sentence without tokens changes no boundary
+    unpicked = list(range(n))
     best_score = 0.0
-    while chosen < min(budget, n):
+    for _ in range(min(budget, n)):
+        gain1 = np.bincount(s1, _overlap_gain(e1[c1], k1, t.ref1[c1]), minlength=n).astype(np.int64)
+        gain2 = np.bincount(s2, _overlap_gain(e2[c2], k2, t.ref2[c2]), minlength=n).astype(np.int64)
+        b_owner, b_col, b_delta = t.boundary_change(np.array(joined, dtype=np.int64), with_tokens)
+        own = t.own_bigrams(b_owner, b_col)
+        e, r = e2[b_col], t.ref2[b_col]
+        gain2 += np.bincount(
+            b_owner, _overlap_gain(e, own + b_delta, r) - _overlap_gain(e, own, r), minlength=n
+        ).astype(np.int64)
+        totals = total + t.lengths
+        scores = (0.0 + _f1(overlap1 + gain1, totals, len(ref_tokens))
+                  + _f1(overlap2 + gain2, np.maximum(totals - 1, 0), len(ref_tokens) - 1))
+        gains = (scores - best_score).tolist()
         best_idx, best_gain = -1, 0.0
-        for i in range(n):
-            if labels[i]:
-                continue
-            gain = extract.score_with(i) - best_score
-            if gain > best_gain + 1e-12:
-                best_idx, best_gain = i, gain
+        for i in unpicked:
+            if gains[i] > best_gain + 1e-12:
+                best_idx, best_gain = i, gains[i]
         if best_idx < 0:
             break
         labels[best_idx] = 1
-        extract.add(best_idx)
-        chosen += 1
+        unpicked.remove(best_idx)
+        e1[c1[s1 == best_idx]] += k1[s1 == best_idx]
+        e2[c2[s2 == best_idx]] += k2[s2 == best_idx]
+        e2[b_col[b_owner == best_idx]] += b_delta[b_owner == best_idx]
+        overlap1 += int(gain1[best_idx])
+        overlap2 += int(gain2[best_idx])
+        total += int(t.lengths[best_idx])
+        if t.has_tokens[best_idx]:
+            insort(joined, best_idx)
         best_score += best_gain
     return labels
 

@@ -153,15 +153,16 @@ def split_holdout(
 
 def _doc_loss(model: Model, item: LabeledDocument, plan: DocumentPlan, tcfg: TrainConfig,
               candidate_cache: dict[str, CandidateSet]) -> ad.Tensor:
-    scores = model.forward(item.document, plan)
+    scores = model.forward(plan.doc, plan)
+    labels = item.labels[: plan.doc.n_sentences]  # plan.doc is truncated to max_sentences
     if not tcfg.reinforced:
-        return ce_loss(scores, item.labels)
-    doc_id = item.document.id
+        return ce_loss(scores, labels)
+    doc_id = plan.doc.id
     cands = candidate_cache.get(doc_id)
     if cands is None:
         cands = sample_candidates(
-            item.document,
-            np.asarray(item.labels, dtype=np.int64),
+            plan.doc,
+            np.asarray(labels, dtype=np.int64),
             tcfg.candidates_k,
             seed=stable_seed(tcfg.seed, "candidates", doc_id),
         )
@@ -189,10 +190,10 @@ def evaluate_split(
     losses, r1s, r2s, rls = [], [], [], []
     with ad.no_grad():
         for item, plan, ref_tokens in zip(items, plans, references):
-            scores = model.forward(item.document, plan)
-            losses.append(float(ce_loss(scores, item.labels).data))
-            picked = select_sentences(item.document, scores, sel)
-            sentences = item.document.sentences
+            scores = model.forward(plan.doc, plan)
+            losses.append(float(ce_loss(scores, item.labels[: plan.doc.n_sentences]).data))
+            picked = select_sentences(plan.doc, scores, sel)
+            sentences = plan.doc.sentences
             cand_tokens: list[str] = []
             for i in picked:
                 cand_tokens.extend(sentences[i].tokens)

@@ -8,6 +8,8 @@ random content is drawn from `stable_seed`-derived generators.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ import numpy as np
 from sectsum import autodiff as ad
 from sectsum.attention import NEG_INF
 from sectsum.corpus import Document, LabeledDocument, parse_document
-from sectsum.rouge import stable_seed
+from sectsum.rouge import _reference_counts, _score_counts, ngrams, stable_seed
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -110,6 +112,15 @@ def write_corpus_jsonl(path: Path, docs: list[Document]) -> None:
             fh.write(serialize_document(doc) + "\n")
 
 
+def char_loop_tokenize(text: str) -> list[str]:
+    """The tokenizer as a per-character loop, the reference for `corpus.tokenize`."""
+    cleaned = []
+    for ch in text.lower():
+        if ch.isalnum() or ch.isspace():
+            cleaned.append(ch)
+    return "".join(cleaned).split()
+
+
 # ---------------------------------------------------------------------------
 # the composed graphs that the fused autodiff ops replay
 # ---------------------------------------------------------------------------
@@ -187,3 +198,106 @@ def sinusoid_rows(n: int, d: int) -> np.ndarray:
         return out
 
     return np.stack([row(p) for p in range(n)]) if n else np.zeros((0, d))
+
+
+# ---------------------------------------------------------------------------
+# the per-candidate greedy oracle that the vectorised one replaced
+# ---------------------------------------------------------------------------
+
+
+def _clipped_gain(extract: Counter, change: dict, ref: Counter) -> int:
+    """Change in the clipped overlap Σ min(extract[g], ref[g]) when `change` is added.
+
+    Every key of `change` must be a reference n-gram.
+    """
+    gain = 0
+    for g, c in change.items():
+        e, r = extract.get(g, 0), ref[g]
+        gain += min(e + c, r) - min(e, r)
+    return gain
+
+
+class _RunningExtract:
+    """ROUGE-1/2 overlap counts of a growing extract joined in document order.
+
+    Scoring a candidate sentence costs its own reference n-grams plus the two
+    sentence boundaries it changes, one Python call chain per candidate.
+    """
+
+    def __init__(self, sentences, refs: list[tuple[Counter, int]]):
+        (self.ref1, self.ref1_total), (self.ref2, self.ref2_total) = refs
+        self.tokens = [s.tokens for s in sentences]
+        self.unigrams = [{g: c for g, c in ngrams(t, 1).items() if g in self.ref1} for t in self.tokens]
+        self.bigrams = [{g: c for g, c in ngrams(t, 2).items() if g in self.ref2} for t in self.tokens]
+        self.counts1: Counter = Counter()
+        self.counts2: Counter = Counter()
+        self.overlap1 = self.overlap2 = self.total = 0
+        self.joined: list[int] = []  # selected sentences with tokens, in document order
+
+    def _bigram_change(self, i: int) -> dict:
+        """Reference bigrams the extract gains (or, at a broken boundary, loses) with sentence i."""
+        toks = self.tokens
+        change = self.bigrams[i]
+        if not toks[i]:
+            return change
+        at = bisect_left(self.joined, i)
+        j = self.joined[at - 1] if at > 0 else None
+        k = self.joined[at] if at < len(self.joined) else None
+        boundary = []
+        if j is not None:
+            boundary.append(((toks[j][-1], toks[i][0]), 1))
+        if k is not None:
+            boundary.append(((toks[i][-1], toks[k][0]), 1))
+            if j is not None:
+                boundary.append(((toks[j][-1], toks[k][0]), -1))
+        boundary = [(g, c) for g, c in boundary if g in self.ref2]
+        if boundary:
+            change = dict(change)
+            for g, c in boundary:
+                change[g] = change.get(g, 0) + c
+        return change
+
+    def score_with(self, i: int) -> float:
+        """ROUGE-1 F1 + ROUGE-2 F1 of the extract with sentence i added."""
+        total = self.total + len(self.tokens[i])
+        overlap1 = self.overlap1 + _clipped_gain(self.counts1, self.unigrams[i], self.ref1)
+        overlap2 = self.overlap2 + _clipped_gain(self.counts2, self._bigram_change(i), self.ref2)
+        return (0.0 + _score_counts(overlap1, total, self.ref1_total).f1
+                + _score_counts(overlap2, max(total - 1, 0), self.ref2_total).f1)
+
+    def add(self, i: int) -> None:
+        change = self._bigram_change(i)
+        self.overlap1 += _clipped_gain(self.counts1, self.unigrams[i], self.ref1)
+        self.overlap2 += _clipped_gain(self.counts2, change, self.ref2)
+        self.counts1.update(self.unigrams[i])
+        self.counts2.update(change)
+        self.total += len(self.tokens[i])
+        if self.tokens[i]:
+            insort(self.joined, i)
+
+
+def running_extract_oracle_labels(doc: Document, budget: int) -> np.ndarray:
+    """The greedy oracle scoring one candidate at a time, the reference for `oracle_labels`."""
+    n = doc.n_sentences
+    labels = np.zeros(n, dtype=np.int64)
+    refs = _reference_counts(doc.reference_summary)
+    if refs[0][1] == 0:
+        return labels
+    extract = _RunningExtract(doc.sentences, refs)
+    chosen = 0
+    best_score = 0.0
+    while chosen < min(budget, n):
+        best_idx, best_gain = -1, 0.0
+        for i in range(n):
+            if labels[i]:
+                continue
+            gain = extract.score_with(i) - best_score
+            if gain > best_gain + 1e-12:
+                best_idx, best_gain = i, gain
+        if best_idx < 0:
+            break
+        labels[best_idx] = 1
+        extract.add(best_idx)
+        chosen += 1
+        best_score += best_gain
+    return labels

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import doc_from_sections
+from helpers import char_loop_tokenize, doc_from_sections
 from sectsum.corpus import (
     LabeledDocument,
     ParseError,
@@ -49,6 +49,21 @@ def test_tokenize_removes_punctuation_without_splitting():
 
 def test_tokenize_keeps_digits():
     assert tokenize("room 101!") == ["room", "101"]
+
+
+def test_tokenize_equals_char_loop_on_every_code_point():
+    # each code point between two letters: dropped, kept inside the word, or
+    # splitting it; lower() may also turn one code point into several
+    mismatched = [
+        cp for cp in range(0x110000)
+        if tokenize(f"a{chr(cp)}b") != char_loop_tokenize(f"a{chr(cp)}b")
+    ]
+    assert mismatched == []
+
+
+@given(st.text())
+def test_tokenize_equals_char_loop_on_random_text(text):
+    assert tokenize(text) == char_loop_tokenize(text)
 
 
 @given(st.text())

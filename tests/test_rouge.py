@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import doc_from_sections
+from helpers import doc_from_sections, running_extract_oracle_labels
 from sectsum.extractor import selection_budget
 from sectsum.rouge import (
     ZERO_SCORE,
@@ -308,6 +308,48 @@ def test_oracle_equals_greedy_rescored_from_scratch(data):
     doc = doc_from_sections("d", sections, reference=" ".join(data.draw(st.lists(word, max_size=8))))
     budget = data.draw(st.integers(1, doc.n_sentences))
     assert list(oracle_labels(doc, budget)) == list(_greedy_from_scratch(doc, budget))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_oracle_equals_per_candidate_oracle_at_document_scale(seed):
+    # document-sized inputs: 30-300 sentences against a 5-40 sentence
+    # reference over a 6-20 word vocabulary, so boundary bigrams collide
+    # often; "..." sentences have no tokens.  Sizes come from the seed so
+    # they spread evenly over their ranges.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 301))
+    vocab = [f"w{i}" for i in range(int(rng.integers(6, 21)))]
+    tokenless_share = float(rng.choice([0.0, 0.05, 0.3]))
+
+    def sentence() -> str:
+        if rng.random() < tokenless_share:
+            return "..."
+        return " ".join(vocab[int(i)] for i in rng.integers(0, len(vocab), size=int(rng.integers(1, 13))))
+
+    texts = [sentence() for _ in range(n)]
+    cuts = sorted(int(c) for c in rng.choice(np.arange(1, n), size=int(rng.integers(0, 8)), replace=False))
+    sections = [texts[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    reference = " ".join(sentence() for _ in range(int(rng.integers(5, 41))))
+    doc = doc_from_sections("d", sections, reference=reference)
+    budget = int(rng.integers(1, n + 1)) if rng.random() < 0.5 else int(rng.integers(1, 11))
+    assert list(oracle_labels(doc, budget)) == list(running_extract_oracle_labels(doc, budget))
+
+
+def test_oracle_margin_ignores_a_gain_of_one_rounding_error():
+    # sentence 20 alone scores unigram F1 2·(3/7)(3/5)/(3/7 + 3/5) = 1/2 and
+    # no bigram; adding sentence 21 makes it 2·(4/11)(4/5)/(4/11 + 4/5) = 1/2
+    # again, which rounds to 0.5000000000000001, so only the 1e-12 margin
+    # keeps the oracle from adding it
+    filler = [f"x{i} y{i} z{i}" for i in range(40)]
+    doc = doc_from_sections(
+        "d", [filler[:20], ["w1 w2 w2 w2 w4 w0 w2", "w2 w0 w3 w0"], filler[20:], ["..."]],
+        reference="w4 w4 w3 w1 w0",
+    )
+    assert 0.0 < extract_f1(doc, [20, 21]) - extract_f1(doc, [20]) < 1e-12
+    labels = oracle_labels(doc, budget=5)
+    assert list(np.nonzero(labels)[0]) == [20]
+    assert list(labels) == list(running_extract_oracle_labels(doc, 5))
 
 
 def test_oracle_weighs_the_bigram_an_insertion_breaks():

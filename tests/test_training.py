@@ -7,10 +7,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import small_random_doc
+from helpers import GREEK, doc_from_sections, small_random_doc
 from sectsum import autodiff as ad
 from sectsum.config import RunConfig
-from sectsum.corpus import LabeledDocument
+from sectsum.corpus import LabeledDocument, truncate_document
 from sectsum.model import Model
 from sectsum.rouge import Candidate, CandidateSet, Reward, stable_seed
 from sectsum.training import (
@@ -302,6 +302,51 @@ def test_evaluate_split_leaves_gradients_untouched():
     for key in ("rouge1_recall", "rouge2_recall", "rougeL_recall"):
         assert 0.0 <= stats[key] <= 1.0
     assert all(t.grad is None for t in model.parameters().values())
+
+
+def _sections_of(n_sentences: int, seed: int) -> list[list[str]]:
+    """Sentences of 3-5 Greek words, four to a section."""
+    rng = np.random.default_rng(stable_seed(seed, "truncation-tests"))
+    texts = [
+        " ".join(GREEK[int(i)] for i in rng.integers(0, len(GREEK), size=int(rng.integers(3, 6))))
+        for _ in range(n_sentences)
+    ]
+    return [texts[s : s + 4] for s in range(0, n_sentences, 4)]
+
+
+@pytest.mark.parametrize(
+    "tcfg",
+    [
+        TrainConfig(lr_scale=1.0, warmup_steps=3, accumulation_steps=2, epochs=2, holdout_ratio=0.0),
+        TrainConfig(lr_scale=1.0, warmup_steps=3, accumulation_steps=2, epochs=2, holdout_ratio=0.0,
+                    reinforced=True, candidates_k=3, seed=4),
+        TrainConfig(lr_scale=1.0, warmup_steps=3, accumulation_steps=2, epochs=2, holdout_ratio=0.4,
+                    budget_ratio=0.3, trigram_threshold=0, seed=9),
+    ],
+    ids=["ce", "reinforced", "holdout"],
+)
+def test_training_past_max_sentences_equals_training_on_the_prefix(tcfg):
+    # 12-sentence documents under max_sentences = 10 train exactly as their
+    # 10-sentence prefixes with the first 10 labels
+    rng = np.random.default_rng(stable_seed("truncation-labels"))
+    long_set, prefix_set = [], []
+    for d in range(5):
+        sections = _sections_of(12, d)
+        doc = doc_from_sections(f"doc{d}", sections, reference="alpha beta gamma delta")
+        prefix = doc_from_sections(f"doc{d}", sections[:2] + [sections[2][:2]], reference="alpha beta gamma delta")
+        assert truncate_document(doc, 10) == prefix
+        labels = tuple(int(x) for x in rng.integers(0, 2, size=12))
+        long_set.append(LabeledDocument(doc, labels))
+        prefix_set.append(LabeledDocument(prefix, labels[:10]))
+    long_model, prefix_model = Model(_tiny_cfg(max_sentences=10)), Model(_tiny_cfg(max_sentences=10))
+    long_result = train(long_model, long_set, tcfg)
+    prefix_result = train(prefix_model, prefix_set, tcfg)
+    assert long_result.metrics == prefix_result.metrics
+    assert long_result.holdout_ids == prefix_result.holdout_ids
+    for name, tensor in long_model.parameters().items():
+        assert np.array_equal(tensor.data, prefix_model.parameters()[name].data), name
+    initial = Model(_tiny_cfg(max_sentences=10)).parameters()
+    assert any(not np.array_equal(t.data, initial[n].data) for n, t in long_model.parameters().items())
 
 
 def test_train_config_mirrors_run_config_fields():
