@@ -1,9 +1,9 @@
 """Section-aware extractive summarization for long documents.
 
 The pipeline: JSONL corpus ingestion → ROUGE-oracle sentence labels → a
-scoring model (hash-stub or pluggable sentence encoder, additive sentence
-embeddings, sliding-window + global sparse attention layers, five feature
-channels) trained with cross-entropy or reward-weighted cross-entropy →
+scoring model (hash-stub sentence encoder, additive sentence embeddings,
+sliding-window + global sparse attention layers, five feature channels)
+trained with cross-entropy or reward-weighted cross-entropy →
 budgeted, trigram-blocked sentence selection.
 """
 

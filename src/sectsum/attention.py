@@ -17,7 +17,7 @@ additive masks, the global rows, the validity columns) is its
 :class:`BandLayout`, built once per mask and shared by every layer and every
 forward that reuses the mask.
 
-The sliding view and the sparse layer run one path (:func:`_attention`).
+The sliding view and the sparse layer run one path (:func:`global_attention`).
 Per head it records two graph nodes, the band (:func:`_banded_rows`) and the
 global rows (:func:`_global_rows`), each with its backward written out; both
 replay, expression for expression, the op-by-op graph they replaced, so
@@ -92,8 +92,8 @@ def build_attention_mask(
     """Build the 0/1/2 mask for a batch of documents.
 
     padded_len is the smallest multiple of `window` covering
-    min(max(doc_lengths), max_sentences); global positions must index real
-    sentences of their document.
+    max(doc_lengths), which may not exceed max_sentences; global positions
+    must index real sentences of their document.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -104,8 +104,7 @@ def build_attention_mask(
             raise ValueError(f"doc {b}: length must be >= 1, got {n}")
         if n > max_sentences:
             raise ValueError(f"doc {b}: length {n} exceeds max_sentences={max_sentences}")
-    target = min(max(doc_lengths), max_sentences)
-    padded_len = ((target + window - 1) // window) * window
+    padded_len = ((max(doc_lengths) + window - 1) // window) * window
     values = np.zeros((len(doc_lengths), padded_len), dtype=np.int8)
     for b, n in enumerate(doc_lengths):
         values[b, :n] = 1
@@ -334,13 +333,22 @@ def _global_rows(
     return ad._make(local.data * keep_col + placed, (local, q_glob, k, v), backward)
 
 
-def _attention(x: ad.Tensor, mask: AttentionMask, params: AttentionParams, heads: int) -> ad.Tensor:
-    """The one sparse attention path behind both public sparse forms.
+def sliding_window_attention(
+    x: ad.Tensor, mask: AttentionMask, params: AttentionParams, window: int, heads: int
+) -> ad.Tensor:
+    """Pure banded local attention at `window`; global marks count as local."""
+    local = AttentionMask(values=np.minimum(mask.values, 1), window=window, padded_len=mask.padded_len)
+    return global_attention(x, local, params, heads)
+
+
+def global_attention(x: ad.Tensor, mask: AttentionMask, params: AttentionParams, heads: int) -> ad.Tensor:
+    """The full sparse attention: banded local plus symmetric global visibility.
 
     Per head, every row attends to its chunked band plus the global columns;
-    global rows then replace that output with one over all valid positions
+    rows marked 2 then replace that output with one over all valid positions
     through the separate global projections.  The heads are merged,
-    output-projected and pad rows zeroed.
+    output-projected and pad rows zeroed.  With no global rows this is
+    :func:`sliding_window_attention`.
     """
     _check_inputs(x, mask, params, heads)
     layout = mask.layout
@@ -359,31 +367,12 @@ def _attention(x: ad.Tensor, mask: AttentionMask, params: AttentionParams, heads
     return ad.mul(params.output(merged), ad.Tensor(layout.valid_col))
 
 
-def sliding_window_attention(
-    x: ad.Tensor, mask: AttentionMask, params: AttentionParams, window: int, heads: int
-) -> ad.Tensor:
-    """Pure banded local attention at `window`; global marks count as local."""
-    local = AttentionMask(values=np.minimum(mask.values, 1), window=window, padded_len=mask.padded_len)
-    return _attention(x, local, params, heads)
-
-
-def global_attention(x: ad.Tensor, mask: AttentionMask, params: AttentionParams, heads: int) -> ad.Tensor:
-    """The full sparse attention: banded local plus symmetric global visibility.
-
-    Non-global rows attend to their band and to every global column; rows
-    marked 2 recompute their output over all valid positions via the separate
-    global projections.  With no global rows this reduces exactly to
-    :func:`sliding_window_attention`.
-    """
-    return _attention(x, mask, params, heads)
-
-
 def full_attention_reference(
     x: ad.Tensor, mask: AttentionMask, params: AttentionParams, heads: int
 ) -> ad.Tensor:
     """Dense O(n²) attention with identical semantics; oracle/baseline only.
 
-    Kept apart from :func:`_attention`, global branch included, so tests
+    Kept apart from :func:`global_attention`, global branch included, so tests
     check the sparse path against independent code.
     """
     _check_inputs(x, mask, params, heads)

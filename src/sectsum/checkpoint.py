@@ -5,13 +5,17 @@ Layout: 8-byte magic, uint32 header length, JSON header
 uint16 name length, UTF-8 name, uint8 ndim, uint32 dims, raw little-endian
 float64 data.  Sorting makes the byte stream independent of construction
 order, so identical parameters always produce identical files.  The loader
-refuses a record whose name is not UTF-8 or repeats an earlier name, or whose
-data holds a non-finite value, naming the record's byte offset.
+refuses a record whose name is not UTF-8 or repeats an earlier name, whose
+rank NumPy cannot hold, or whose data holds a non-finite value, naming the
+record's byte offset; a length claimed past the end of the file is reported
+as truncation before anything is read.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -48,8 +52,9 @@ def save_checkpoint(params: dict[str, Tensor], path: str | Path, *, seed: int, c
 
 
 def _read_exact(fh, size: int, what: str) -> bytes:
+    """Read `size` bytes, never asking for more than the file has left."""
     offset = fh.tell()
-    buf = fh.read(size)
+    buf = fh.read(min(size, os.fstat(fh.fileno()).st_size - offset))
     if len(buf) != size:
         raise CheckpointError(
             f"corrupt checkpoint: truncated {what} at byte offset {offset} "
@@ -67,8 +72,10 @@ def load_checkpoint(path: str | Path, *, expected_hash: str | None = None) -> tu
         (header_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
         try:
             header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise CheckpointError(f"{path}: unreadable header ({e})") from None
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: unreadable header (not a JSON object)")
         version = header.get("format_version")
         if version != FORMAT_VERSION:
             raise CheckpointError(
@@ -103,9 +110,14 @@ def load_checkpoint(path: str | Path, *, expected_hash: str | None = None) -> tu
             shape = tuple(
                 struct.unpack("<I", _read_exact(fh, 4, f"shape of {name}"))[0] for _ in range(ndim)
             )
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = _read_exact(fh, count * 8, f"data of {name}")
-            params[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            raw = _read_exact(fh, math.prod(shape) * 8, f"data of {name}")
+            try:
+                params[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            except ValueError:  # more dimensions than NumPy supports
+                raise CheckpointError(
+                    f"corrupt checkpoint: rank {ndim} of {name!r} is not supported, "
+                    f"record at byte offset {pos}"
+                ) from None
             if not np.isfinite(params[name]).all():
                 raise CheckpointError(
                     f"corrupt checkpoint: non-finite value in {name!r}, record at byte offset {pos}"

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .bench import doubling_ratios, run_bench, write_bench_tsv
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, check_artifact_hash, model_hash, resolve_config
+from .config import ConfigError, RunConfig, check_artifact_hash, int_or_none, model_hash, resolve_config
 from .corpus import (
     CorpusError,
     LabeledDocument,
@@ -43,21 +43,22 @@ _RUN_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig))
 
 
 def _shared_flags() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
+    # a RunConfig flag left out is absent from the namespace (see _config_from_args)
+    shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     shared.add_argument("--config", type=Path, default=None, help="flat key=value config file")
-    shared.add_argument("--seed", type=int, default=None)
-    shared.add_argument("--window", type=int, default=None, help="local attention half-width w")
-    shared.add_argument("--global-ratio", dest="global_ratio", type=float, default=None,
+    shared.add_argument("--seed", type=int)
+    shared.add_argument("--window", type=int, help="local attention half-width w")
+    shared.add_argument("--global-ratio", dest="global_ratio", type=float,
                         help="percent of sentences attending globally")
-    shared.add_argument("--budget-ratio", dest="budget_ratio", type=float, default=None,
+    shared.add_argument("--budget-ratio", dest="budget_ratio", type=float,
                         help="summary budget as a fraction of document size")
-    shared.add_argument("--trigram-threshold", dest="trigram_threshold", default=None,
+    shared.add_argument("--trigram-threshold", dest="trigram_threshold", type=int_or_none,
                         help="blocking threshold (integer) or 'none'")
     shared.add_argument("--reinforced", dest="reinforced", action="store_const", const=True,
-                        default=None, help="train with reward-weighted loss")
-    shared.add_argument("--layers", type=int, default=None)
-    shared.add_argument("--heads", type=int, default=None)
-    shared.add_argument("--d-model", dest="d_model", type=int, default=None)
+                        help="train with reward-weighted loss")
+    shared.add_argument("--layers", type=int)
+    shared.add_argument("--heads", type=int)
+    shared.add_argument("--d-model", dest="d_model", type=int)
     return shared
 
 
@@ -78,18 +79,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
 
-    p = sub.add_parser("train", parents=[shared], help="train a scoring model")
+    p = sub.add_parser("train", parents=[shared], argument_default=argparse.SUPPRESS,
+                       help="train a scoring model")
     p.add_argument("--corpus", required=True, type=Path)
     p.add_argument("--labels", required=True, type=Path)
     p.add_argument("--checkpoint-out", required=True, type=Path)
     p.add_argument("--metrics-out", type=Path, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--warmup-steps", dest="warmup_steps", type=int, default=None)
-    p.add_argument("--lr-scale", dest="lr_scale", type=float, default=None)
-    p.add_argument("--accumulation-steps", dest="accumulation_steps", type=int, default=None)
-    p.add_argument("--clip-norm", dest="clip_norm", type=float, default=None)
-    p.add_argument("--candidates-k", dest="candidates_k", type=int, default=None)
-    p.add_argument("--holdout-ratio", dest="holdout_ratio", type=float, default=None)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--warmup-steps", dest="warmup_steps", type=int)
+    p.add_argument("--lr-scale", dest="lr_scale", type=float)
+    p.add_argument("--accumulation-steps", dest="accumulation_steps", type=int)
+    p.add_argument("--clip-norm", dest="clip_norm", type=float)
+    p.add_argument("--candidates-k", dest="candidates_k", type=int)
+    p.add_argument("--holdout-ratio", dest="holdout_ratio", type=float)
 
     p = sub.add_parser("summarize", parents=[shared], help="select sentences with a checkpoint")
     p.add_argument("--corpus", required=True, type=Path)
@@ -111,10 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {k: v for k, v in vars(args).items() if k in _RUN_CONFIG_KEYS and v is not None}
-    raw_trigram = overrides.get("trigram_threshold")
-    if raw_trigram is not None:
-        overrides["trigram_threshold"] = None if str(raw_trigram).lower() == "none" else int(raw_trigram)
+    """Config file values, overridden by each RunConfig flag given, `--trigram-threshold none` included."""
+    overrides = {k: v for k, v in vars(args).items() if k in _RUN_CONFIG_KEYS}
     return resolve_config(args.config, overrides)
 
 

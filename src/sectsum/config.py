@@ -74,12 +74,15 @@ MODEL_HASH_KEYS = (
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
+def int_or_none(raw: str) -> int | None:
+    """An integer, or None for 'none' in any case (how trigram_threshold is spelled)."""
+    return None if raw.lower() == "none" else int(raw)
+
+
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if key == "trigram_threshold":
-        if raw.lower() == "none":
-            return None
-        return int(raw)
+        return int_or_none(raw)
     ftype = _FIELDS[key].type
     if ftype == "int":
         return int(raw)
@@ -151,6 +154,7 @@ def _validate(cfg: RunConfig) -> None:
         (cfg.window >= 1, "window must be >= 1"),
         (0 <= cfg.global_ratio <= 100, "global_ratio must be in [0, 100]"),
         (cfg.global_policy in ("stride", "random"), "global_policy must be stride|random"),
+        (cfg.encoder == "stub", "encoder must be stub"),
         (cfg.max_sentences >= 1, "max_sentences must be >= 1"),
         (cfg.s_max >= 1, "s_max must be >= 1"),
         (cfg.max_chunk_tokens >= 1, "max_chunk_tokens must be >= 1"),
@@ -158,6 +162,7 @@ def _validate(cfg: RunConfig) -> None:
         (cfg.len_bucket_width >= 1, "len_bucket_width must be >= 1"),
         (cfg.ffn_dim >= 1, "ffn_dim must be >= 1"),
         (cfg.combine in ("sum", "concat"), "combine must be sum|concat"),
+        (cfg.seed >= 0, "seed must be >= 0"),
         (0 < cfg.budget_ratio <= 1, "budget_ratio must be in (0, 1]"),
         (
             cfg.trigram_threshold is None or cfg.trigram_threshold >= 0,

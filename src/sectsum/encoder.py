@@ -1,33 +1,22 @@
 """Sentence encoding and the additive four-way sentence embedding.
 
-Semantic vectors come from a pluggable encoder (the shipped one is a cheap
-deterministic hash stub standing in for a pretrained model, which is out of
-scope).  Sentences are encoded section by section in chunks bounded by a
-token budget, then combined with sinusoid position, segment-parity and
-section embeddings by simple addition at sentence granularity.
+Semantic vectors come from a cheap deterministic hash stub standing in for a
+pretrained model, which is out of scope.  Sentences are encoded section by
+section in chunks bounded by a token budget, then combined with sinusoid
+position, segment-parity and section embeddings by simple addition at
+sentence granularity.
 """
 
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .corpus import Document
-
-log = logging.getLogger(__name__)
-
-
-class SentenceEncoder(Protocol):
-    d: int
-
-    def encode(self, sentences: Sequence[Sequence[str]]) -> np.ndarray:
-        """Map token lists to a [n_sentences x d] matrix."""
-        ...
 
 
 class StubEncoder:
@@ -64,24 +53,6 @@ class StubEncoder:
         return out
 
 
-_ENCODERS: dict[str, Callable[..., SentenceEncoder]] = {"stub": StubEncoder}
-
-
-def register_encoder(name: str, factory: Callable[..., SentenceEncoder]) -> None:
-    _ENCODERS[name] = factory
-
-
-def create_encoder(name: str, d: int, seed: int = 0) -> SentenceEncoder:
-    try:
-        factory = _ENCODERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown encoder {name!r}; available: {sorted(_ENCODERS)} "
-            f"(register new ones with register_encoder)"
-        ) from None
-    return factory(d=d, seed=seed)
-
-
 def sinusoid_table(n: int, d: int) -> np.ndarray:
     """Classic sinusoid positions, one row per position p < n:
     entry 2i = sin(p/10000^(2i/d)), entry 2i+1 = cos(p/10000^(2i/d))."""
@@ -97,7 +68,7 @@ def sinusoid_table(n: int, d: int) -> np.ndarray:
     return out
 
 
-def encode_sentences(doc: Document, enc: SentenceEncoder, max_chunk_tokens: int) -> np.ndarray:
+def encode_sentences(doc: Document, enc: StubEncoder, max_chunk_tokens: int) -> np.ndarray:
     """Encode a document section by section under a chunk token budget.
 
     Each section's sentences are greedily grouped into chunks whose summed

@@ -14,7 +14,6 @@ plan gives the same bits as a fresh one.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +30,10 @@ from .attention import (
 from .checkpoint import CheckpointError
 from .config import RunConfig, model_hash
 from .corpus import Document, truncate_document
-from .encoder import EmbeddingInputs, compose_embeddings, create_encoder, embedding_inputs, encode_sentences
+from .encoder import EmbeddingInputs, StubEncoder, compose_embeddings, embedding_inputs, encode_sentences
 from .extractor import SentenceScores, predict_scores
 from .features import FeatureIndices, FeatureParams, all_features, feature_indices, init_feature_params
 from .rouge import stable_seed
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,7 @@ class Model:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.hash = model_hash(cfg)
-        self.encoder = create_encoder(cfg.encoder, cfg.d_model, cfg.encoder_seed)
+        self.encoder = StubEncoder(cfg.d_model, cfg.encoder_seed)
         rng = np.random.default_rng(cfg.seed)
         d = cfg.d_model
 

@@ -151,23 +151,22 @@ def split_holdout(
     return train, hold
 
 
-def _doc_loss(model: Model, item: LabeledDocument, plan: DocumentPlan, tcfg: TrainConfig,
-              candidate_cache: dict[str, CandidateSet]) -> ad.Tensor:
+def _candidates(item: LabeledDocument, plan: DocumentPlan, tcfg: TrainConfig) -> CandidateSet:
+    """The reinforced candidate set of one training document, sampled from its plan's document."""
+    return sample_candidates(
+        plan.doc,
+        np.asarray(item.labels[: plan.doc.n_sentences], dtype=np.int64),
+        tcfg.candidates_k,
+        seed=stable_seed(tcfg.seed, "candidates", plan.doc.id),
+    )
+
+
+def _doc_loss(model: Model, item: LabeledDocument, plan: DocumentPlan,
+              cands: CandidateSet | None) -> ad.Tensor:
     scores = model.forward(plan.doc, plan)
-    labels = item.labels[: plan.doc.n_sentences]  # plan.doc is truncated to max_sentences
-    if not tcfg.reinforced:
-        return ce_loss(scores, labels)
-    doc_id = plan.doc.id
-    cands = candidate_cache.get(doc_id)
-    if cands is None:
-        cands = sample_candidates(
-            plan.doc,
-            np.asarray(labels, dtype=np.int64),
-            tcfg.candidates_k,
-            seed=stable_seed(tcfg.seed, "candidates", doc_id),
-        )
-        candidate_cache[doc_id] = cands
-    return candidate_loss(scores, cands)
+    if cands is not None:
+        return candidate_loss(scores, cands)
+    return ce_loss(scores, item.labels[: plan.doc.n_sentences])  # plan.doc is truncated to max_sentences
 
 
 def evaluate_split(
@@ -219,9 +218,10 @@ def train(model: Model, dataset: list[LabeledDocument], tcfg: TrainConfig) -> Tr
     params = model.parameters()
     d_model = model.cfg.d_model
     epoch_rng = np.random.default_rng(stable_seed(tcfg.seed, "epoch-order"))
-    candidate_cache: dict[str, CandidateSet] = {}
     # parameter-free inputs, built once and reused by every epoch
     train_plans = [model.plan(item.document) for item in train_set]
+    train_cands = [_candidates(item, plan, tcfg) if tcfg.reinforced else None
+                   for item, plan in zip(train_set, train_plans)]
     holdout_plans = [model.plan(item.document) for item in holdout]
     holdout_refs = [tokenize(item.document.reference_summary) for item in holdout]
 
@@ -245,7 +245,7 @@ def train(model: Model, dataset: list[LabeledDocument], tcfg: TrainConfig) -> Tr
         epoch_losses = []
         for idx in order:
             item = train_set[int(idx)]
-            loss = _doc_loss(model, item, train_plans[int(idx)], tcfg, candidate_cache)
+            loss = _doc_loss(model, item, train_plans[int(idx)], train_cands[int(idx)])
             loss_val = float(loss.data)
             if not math.isfinite(loss_val):
                 raise TrainingError(

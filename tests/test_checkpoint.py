@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -94,6 +95,14 @@ def test_garbled_header_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("payload", [b"[]", b"7", b'"x"'])
+def test_header_that_is_not_an_object_rejected(tmp_path, payload):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", len(payload)) + payload)
+    with pytest.raises(CheckpointError, match=r"unreadable header \(not a JSON object\)"):
+        load_checkpoint(path)
+
+
 def test_empty_params_round_trip(tmp_path):
     path = tmp_path / "empty.ckpt"
     save_checkpoint({}, path, seed=3, config_hash="h")
@@ -139,4 +148,37 @@ def test_non_utf8_name_reports_offset(tmp_path):
     path = tmp_path / "model.ckpt"
     (first,) = _with_records(path, _record(b"\xffw", [1.0]))
     with pytest.raises(CheckpointError, match=f"name is not UTF-8 in record at byte offset {first}$"):
+        load_checkpoint(path)
+
+
+def _claim(name: bytes, shape: tuple[int, ...], payload: bytes) -> bytes:
+    """A record whose dims claim `shape`, whatever the payload holds."""
+    return struct.pack("<H", len(name)) + name + struct.pack(f"<B{len(shape)}I", len(shape), *shape) + payload
+
+
+@pytest.mark.parametrize("shape", [(2**31, 4), (2**32 - 1, 2**32 - 1)], ids=["2^36 bytes", "2^67 bytes"])
+def test_oversized_record_claim_is_reported_as_truncated_data(tmp_path, shape):
+    # the claim is checked against the bytes left in the file before anything is read
+    path = tmp_path / "model.ckpt"
+    (first,) = _with_records(path, _claim(b"w", shape, b"\0" * 16))
+    data_at = first + 2 + 1 + 1 + 4 * len(shape)
+    wanted = 8 * math.prod(shape)
+    message = rf"truncated data of w at byte offset {data_at} \(wanted {wanted} bytes, got 16\)"
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_oversized_header_length_is_reported_as_truncated_header(tmp_path):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", 0xFFFFFFF0) + b"{}")
+    message = r"truncated header at byte offset 12 \(wanted 4294967280 bytes, got 2\)"
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_rank_numpy_cannot_hold_reports_offset(tmp_path):
+    path = tmp_path / "model.ckpt"
+    (first,) = _with_records(path, _claim(b"w", (0,) * 70, b""))
+    message = f"rank 70 of 'w' is not supported, record at byte offset {first}$"
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)

@@ -17,7 +17,8 @@ import pytest
 import sectsum
 from helpers import doc_from_sections, write_corpus_jsonl
 from sectsum.cli import _config_from_args, build_parser, main
-from sectsum.config import RunConfig, resolve_config
+from sectsum.checkpoint import save_checkpoint
+from sectsum.config import RunConfig, model_hash, resolve_config
 from sectsum.corpus import read_labels
 
 
@@ -164,6 +165,37 @@ def test_ingest_lists_non_utf8_line_and_lenient_keeps_the_rest(tmp_path, capsys)
     assert [json.loads(line)["id"] for line in out.read_text().splitlines()[1:]] == ["doc0", "doc2"]
 
 
+DEEP_JSON = "[" * 100_000
+
+
+def test_deeply_nested_corpus_line_is_a_bad_line(tmp_path, capsys):
+    src, out = tmp_path / "raw.jsonl", tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(src, _docs(2))
+    src.write_text(DEEP_JSON + "\n" + src.read_text())  # line 1 is also where a header would be
+    assert main(["ingest", "--input", str(src), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "line 1: invalid JSON (nesting too deep)" in captured.err
+    assert "Traceback" not in captured.err and not out.exists()
+    assert main(["ingest", "--input", str(src), "--out", str(out), "--lenient"]) == 0
+    assert "docs=2" in capsys.readouterr().out
+    assert [json.loads(line)["id"] for line in out.read_text().splitlines()[1:]] == ["doc0", "doc1"]
+
+
+def test_negative_seed_fails_before_any_artifact_is_written(tmp_path, capsys):
+    src, out = tmp_path / "raw.jsonl", tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(src, _docs(1))
+    assert main(["ingest", "--input", str(src), "--out", str(out), "--seed", "-1"]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_malformed_trigram_threshold_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["label", "--corpus", "c", "--out", "o", "--trigram-threshold", "abc"])
+    assert exc.value.code == 2
+    assert "argument --trigram-threshold: invalid" in capsys.readouterr().err
+
+
 def test_missing_input_file_exits_two(tmp_path, capsys):
     rc = main(["ingest", "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -191,10 +223,19 @@ def test_ingest_refuses_corpus_with_foreign_hash(tmp_path, capsys):
     assert "different configuration" in capsys.readouterr().err
 
 
-def test_trigram_threshold_flag_special_cases_none():
+def test_trigram_threshold_flag_special_cases_none(tmp_path):
     parser = build_parser()
     ns = parser.parse_args(["label", "--corpus", "c", "--out", "o", "--trigram-threshold", "none"])
     assert _config_from_args(ns).trigram_threshold is None
+    # 'none' in any case overrides a threshold the config file sets
+    cfg = tmp_path / "blocking.cfg"
+    cfg.write_text("trigram_threshold = 5\n")
+    for raw, expected in (("none", None), ("NONE", None), ("3", 3)):
+        ns = parser.parse_args(["label", "--config", str(cfg), "--corpus", "c", "--out", "o",
+                                "--trigram-threshold", raw])
+        assert _config_from_args(ns).trigram_threshold == expected, raw
+    ns = parser.parse_args(["label", "--config", str(cfg), "--corpus", "c", "--out", "o"])
+    assert _config_from_args(ns).trigram_threshold == 5
     ns = parser.parse_args(["label", "--corpus", "c", "--out", "o", "--trigram-threshold", "3"])
     assert _config_from_args(ns).trigram_threshold == 3
     ns = parser.parse_args(["label", "--corpus", "c", "--out", "o"])
@@ -240,6 +281,14 @@ def test_shared_overrides_reach_the_config(tmp_path):
             assert cfg == resolve_config(cfg_file), (command, action.dest)
             assert getattr(cfg, action.dest) != getattr(defaults, action.dest), action.dest
     assert seen == set(_FLAG_VALUES)
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED_ARGS))
+def test_unknown_encoder_fails_every_subcommand_at_config_resolution(tmp_path, capsys, command):
+    cfg = tmp_path / "bert.cfg"
+    cfg.write_text("encoder = bert\n")
+    assert main([command, "--config", str(cfg), *_REQUIRED_ARGS[command]]) == 1
+    assert f"sectsum {command}: encoder must be stub" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +410,17 @@ def test_train_rejects_labels_with_duplicate_id(pipeline, tmp_path, capsys):
     assert f"labels line {len(lines) + 1}: duplicate id {doc_id!r} (first on line 2)" in capsys.readouterr().err
 
 
+def test_train_rejects_deeply_nested_labels_line(pipeline, tmp_path, capsys):
+    lines = pipeline["labels"].read_text().splitlines()
+    deep = tmp_path / "deep_labels.jsonl"
+    deep.write_text("\n".join(lines[:2] + [DEEP_JSON] + lines[2:]) + "\n")
+    rc = main(["train", "--config", str(pipeline["cfg"]), "--corpus", str(pipeline["corpus"]),
+               "--labels", str(deep), "--checkpoint-out", str(tmp_path / "m.ckpt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "labels line 3: invalid JSON (nesting too deep)" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["label", "train", "summarize", "evaluate"])
 def test_non_utf8_line_fails_each_reader_naming_line_and_offset(pipeline, tmp_path, capsys, command):
     cfg, corpus, labels = (str(pipeline[k]) for k in ("cfg", "corpus", "labels"))
@@ -450,6 +510,20 @@ def test_summarize_refuses_corrupt_checkpoint_records(pipeline, tmp_path, capsys
     assert rc == 1
     err = capsys.readouterr().err
     assert corruption in err and f"record at byte offset {offset}" in err
+    assert "Traceback" not in err
+
+
+def test_summarize_refuses_oversized_checkpoint_record(pipeline, tmp_path, capsys):
+    # a record claiming shape (2**31, 4), 2**36 bytes, in a file that holds 16 of them
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint({}, ckpt, seed=0, config_hash=model_hash(resolve_config(pipeline["cfg"])))
+    start = ckpt.stat().st_size
+    ckpt.write_bytes(ckpt.read_bytes() + struct.pack("<H1sB2I", 1, b"w", 2, 2**31, 4) + bytes(16))
+    rc = main(["summarize", "--config", str(pipeline["cfg"]), "--corpus", str(pipeline["corpus"]),
+               "--checkpoint", str(ckpt), "--out", str(tmp_path / "s.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"corrupt checkpoint: truncated data of w at byte offset {start + 12}" in err
     assert "Traceback" not in err
 
 

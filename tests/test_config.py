@@ -120,6 +120,8 @@ def test_resolve_rejects_unknown_override():
         ({"holdout_ratio": 1.0}, "holdout_ratio"),
         ({"clip_norm": 0.0}, "clip_norm"),
         ({"epochs": 0}, "epochs"),
+        ({"encoder": "bert"}, "encoder must be stub"),
+        ({"seed": -1}, "seed must be >= 0"),
     ],
 )
 def test_resolve_validation_failures(overrides, msg):
@@ -130,6 +132,10 @@ def test_resolve_validation_failures(overrides, msg):
 # ---------------------------------------------------------------------------
 # model hash
 # ---------------------------------------------------------------------------
+
+
+def test_resolve_accepts_a_negative_encoder_seed():
+    assert resolve_config(None, {"encoder_seed": -1}).encoder_seed == -1
 
 
 def test_model_hash_stable_and_full_length():

@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 from helpers import doc_from_sections, sinusoid_rows
 from sectsum import autodiff as ad
 from sectsum.autodiff import DimensionError, Tensor
+from sectsum.config import resolve_config
 from sectsum.encoder import (
     StubEncoder,
     compose_embeddings,
-    create_encoder,
     encode_sentences,
     embedding_inputs,
-    register_encoder,
     sinusoid_table,
 )
+from sectsum.model import Model
 
 # ---------------------------------------------------------------------------
 # stub encoder
@@ -67,27 +67,10 @@ def test_stub_encoder_validates_dimension():
         StubEncoder(d=0)
 
 
-def test_encoder_registry():
-    enc = create_encoder("stub", d=6, seed=9)
+def test_model_encodes_with_the_configured_stub():
+    enc = Model(resolve_config(None, {"d_model": 6, "heads": 2, "encoder_seed": 9})).encoder
     assert isinstance(enc, StubEncoder)
     assert enc.d == 6 and enc.seed == 9
-    with pytest.raises(ValueError, match="unknown encoder"):
-        create_encoder("bert", d=6)
-
-    class Fixed:
-        def __init__(self, d, seed=0):
-            self.d = d
-
-        def encode(self, sentences):
-            return np.ones((len(sentences), self.d))
-
-    register_encoder("fixed", Fixed)
-    try:
-        assert (create_encoder("fixed", d=2).encode([["x"]]) == 1.0).all()
-    finally:
-        from sectsum.encoder import _ENCODERS
-
-        _ENCODERS.pop("fixed", None)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ import pytest
 
 from helpers import GREEK, doc_from_sections, small_random_doc
 from sectsum import autodiff as ad
+from sectsum import training
 from sectsum.config import RunConfig
 from sectsum.corpus import LabeledDocument, truncate_document
 from sectsum.model import Model
-from sectsum.rouge import Candidate, CandidateSet, Reward, stable_seed
+from sectsum.rouge import Candidate, CandidateSet, Reward, sample_candidates, stable_seed
 from sectsum.training import (
     TrainConfig,
     TrainingError,
@@ -283,6 +284,34 @@ def test_reinforced_mode_trains_without_non_finite_losses():
     # 6 docs / accumulation 4 -> 1 full update + 1 partial flush per epoch
     assert (result.updates, result.flush_updates) == (4, 2)
     assert all(np.isfinite(row["loss"]) for row in result.metrics)
+
+
+def test_reinforced_documents_sharing_an_id_each_use_their_own_candidates(monkeypatch):
+    # only the CLI rejects repeated ids; a library caller may pass them
+    twins = [doc_from_sections("twin", _sections_of(n, n), reference="alpha beta gamma") for n in (3, 5)]
+    data = [LabeledDocument(doc, (1,) + (0,) * (doc.n_sentences - 1)) for doc in twins]
+    sampled_from = {}
+
+    def sample(doc, labels, k, seed):
+        cands = sample_candidates(doc, labels, k, seed)
+        sampled_from[id(cands)] = doc
+        return cands
+
+    used = []
+    original_loss = training.candidate_loss
+
+    def loss(p, cands):
+        used.append((p.p.shape[0], sampled_from[id(cands)]))
+        return original_loss(p, cands)
+
+    monkeypatch.setattr(training, "sample_candidates", sample)
+    monkeypatch.setattr(training, "candidate_loss", loss)
+    tcfg = TrainConfig(warmup_steps=2, accumulation_steps=1, epochs=2, holdout_ratio=0.0,
+                       reinforced=True, candidates_k=2, seed=3)
+    result = train(Model(_tiny_cfg()), data, tcfg)
+    assert result.updates == 4
+    assert sorted((n, doc.n_sentences) for n, doc in used) == [(3, 3), (3, 3), (5, 5), (5, 5)]
+    assert all(doc is twins[0 if n == 3 else 1] for n, doc in used)
 
 
 def test_train_rejects_empty_and_all_holdout_datasets():
