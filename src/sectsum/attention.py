@@ -87,13 +87,12 @@ def build_attention_mask(
     doc_lengths: list[int],
     window: int,
     global_positions: list[list[int]] | None = None,
-    max_sentences: int = 500,
 ) -> AttentionMask:
     """Build the 0/1/2 mask for a batch of documents.
 
     padded_len is the smallest multiple of `window` covering
-    max(doc_lengths), which may not exceed max_sentences; global positions
-    must index real sentences of their document.
+    max(doc_lengths); global positions must index real sentences of their
+    document.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -102,8 +101,6 @@ def build_attention_mask(
     for b, n in enumerate(doc_lengths):
         if n < 1:
             raise ValueError(f"doc {b}: length must be >= 1, got {n}")
-        if n > max_sentences:
-            raise ValueError(f"doc {b}: length {n} exceeds max_sentences={max_sentences}")
     padded_len = ((max(doc_lengths) + window - 1) // window) * window
     values = np.zeros((len(doc_lengths), padded_len), dtype=np.int8)
     for b, n in enumerate(doc_lengths):

@@ -85,9 +85,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _non_scalar(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -101,10 +98,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-
-def _non_scalar(t: Tensor):
-    raise DimensionError(f"expected a scalar tensor, got shape {t.shape}")
 
 
 def _as_tensor(x) -> Tensor:

@@ -79,7 +79,7 @@ def run_bench(
     points = []
     for n in n_list:
         globals_ = select_global(n, global_ratio, global_policy, stable_seed(seed, "bench-globals", n))
-        mask = build_attention_mask([n], window, [globals_], max_sentences=n)
+        mask = build_attention_mask([n], window, [globals_])
         rng = np.random.default_rng(stable_seed(seed, "bench-input", n))
         x = ad.Tensor(rng.standard_normal((mask.padded_len, d_model)))
 

@@ -31,7 +31,7 @@ class RunConfig:
     global_policy: str = "stride"
     max_sentences: int = 500
     s_max: int = 32
-    max_chunk_tokens: int = 3072
+    max_chunk_tokens: int = 3072  # most tokens one sentence may have
     encoder: str = "stub"
     encoder_seed: int = 0
     len_buckets: int = 100

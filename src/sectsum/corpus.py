@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 log = logging.getLogger(__name__)
 
 
@@ -78,8 +80,13 @@ class LabeledDocument:
                 f"doc {self.document.id}: {len(self.labels)} labels for "
                 f"{self.document.n_sentences} sentences"
             )
-        if any(l not in (0, 1) for l in self.labels):
+        if not all(_is_label(v) for v in self.labels):
             raise ValueError(f"doc {self.document.id}: labels must be 0/1")
+
+
+def _is_label(v: object) -> bool:
+    """A 0/1 label: a Python or NumPy integer equal to 0 or 1, never a bool or a float."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v in (0, 1)
 
 
 _DROPPED = re.compile(r"[^\w\s]|_")
@@ -346,7 +353,7 @@ def _read_records(
 
 def read_labels(path: str | Path) -> tuple[dict[str, list[int]], dict | None]:
     """Read a labels JSONL file into {id: labels}, plus any artifact header."""
-    records, header = _read_records(path, "labels", "labels", lambda v: v in (0, 1), "a 0/1 list")
+    records, header = _read_records(path, "labels", "labels", _is_label, "a 0/1 list")
     return {doc_id: [int(v) for v in rec["labels"]] for doc_id, rec in records.items()}, header
 
 

@@ -1,16 +1,14 @@
 """Sentence encoding and the additive four-way sentence embedding.
 
 Semantic vectors come from a cheap deterministic hash stub standing in for a
-pretrained model, which is out of scope.  Sentences are encoded section by
-section in chunks bounded by a token budget, then combined with sinusoid
-position, segment-parity and section embeddings by simple addition at
-sentence granularity.
+pretrained model, which is out of scope.  A document's sentences are encoded
+in one call, then combined with sinusoid position, segment-parity and section
+embeddings by simple addition at sentence granularity.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -69,79 +67,31 @@ def sinusoid_table(n: int, d: int) -> np.ndarray:
 
 
 def encode_sentences(doc: Document, enc: StubEncoder, max_chunk_tokens: int) -> np.ndarray:
-    """Encode a document section by section under a chunk token budget.
+    """Encode every sentence of a document in one encoder call, in document order.
 
-    Each section's sentences are greedily grouped into chunks whose summed
-    token counts stay within max_chunk_tokens (sentences are never split);
-    the encoder runs once per chunk and rows are concatenated in document
-    order.  A single sentence exceeding the budget is an error.
+    max_chunk_tokens is the most tokens one sentence may have; a longer
+    sentence is an error.
     """
-    rows: list[np.ndarray] = []
-    for sec in doc.sections:
-        chunk: list[Sequence[str]] = []
-        used = 0
-        for s in sec.sentences:
-            need = len(s.tokens)
-            if need > max_chunk_tokens:
-                raise ValueError(
-                    f"doc {doc.id}: sentence {s.doc_position} has {need} tokens, "
-                    f"exceeding max_chunk_tokens={max_chunk_tokens}"
-                )
-            if chunk and used + need > max_chunk_tokens:
-                rows.append(enc.encode(chunk))
-                chunk, used = [], 0
-            chunk.append(s.tokens)
-            used += need
-        if chunk:
-            rows.append(enc.encode(chunk))
-    if not rows:
-        return np.zeros((0, enc.d), dtype=np.float64)
-    out = np.concatenate(rows, axis=0)
-    if out.shape[0] != doc.n_sentences:
-        raise ValueError(
-            f"encoder returned {out.shape[0]} rows for {doc.n_sentences} sentences"
-        )
-    return out
+    sentences = doc.sentences
+    for s in sentences:
+        if len(s.tokens) > max_chunk_tokens:
+            raise ValueError(
+                f"doc {doc.id}: sentence {s.doc_position} has {len(s.tokens)} tokens, "
+                f"exceeding max_chunk_tokens={max_chunk_tokens}"
+            )
+    return enc.encode([s.tokens for s in sentences])
 
 
-@dataclass(frozen=True)
-class EmbeddingInputs:
-    """The parameter-free part of one document's sentence embeddings."""
+def compose_embeddings(base: ad.Tensor, parity: np.ndarray, section: np.ndarray,
+                       segment_table: ad.Tensor, section_table: ad.Tensor) -> ad.Tensor:
+    """Sentence embedding = (semantic + sinusoid position) + (segment + section).
 
-    base: ad.Tensor       # semantic + sinusoid position, [n x d]
-    parity: np.ndarray    # segment-table row per sentence
-    section: np.ndarray   # section-table row per sentence, clamped to the table
-
-
-def embedding_inputs(semantic: np.ndarray, doc: Document, s_max: int) -> EmbeddingInputs:
-    """Sum the semantic matrix with the sinusoid table and index the tables.
-
-    Segment is the parity of the global sentence index (odd/even
-    alternation); section indices past the s_max-row table clamp to its last
-    row, with one logged warning per call.
+    `base` is the semantic matrix plus the sinusoid table, and `parity` and
+    `section` are each sentence's segment-table and section-table rows.
     """
-    n = doc.n_sentences
-    if semantic.ndim != 2 or semantic.shape[0] != n:
-        raise ad.DimensionError(f"semantic matrix {semantic.shape} does not match n_sentences={n}")
-    section = ad.clamp_indices(
-        np.array([s.section_index for s in doc.sentences], dtype=np.int64),
-        s_max,
-        warn_label="section embedding",
-    )
-    return EmbeddingInputs(
-        base=ad.Tensor(semantic + sinusoid_table(n, semantic.shape[1])),
-        parity=np.arange(n, dtype=np.int64) % 2,
-        section=section,
-    )
-
-
-def compose_embeddings(inputs: EmbeddingInputs, segment_table: ad.Tensor, section_table: ad.Tensor) -> ad.Tensor:
-    """Sentence embedding = (semantic + sinusoid position) + (segment + section)."""
-    d = inputs.base.shape[1]
+    d = base.shape[1]
     if segment_table.shape != (2, d) or section_table.shape[1] != d:
         raise ad.DimensionError(
             f"table shapes {segment_table.shape}/{section_table.shape} inconsistent with d={d}"
         )
-    seg = ad.gather_rows(segment_table, inputs.parity)
-    sec = ad.gather_rows(section_table, inputs.section)
-    return ad.add(inputs.base, ad.add(seg, sec))
+    return ad.add(base, ad.add(ad.gather_rows(segment_table, parity), ad.gather_rows(section_table, section)))

@@ -30,7 +30,7 @@ from .attention import (
 from .checkpoint import CheckpointError
 from .config import RunConfig, model_hash
 from .corpus import Document, truncate_document
-from .encoder import EmbeddingInputs, StubEncoder, compose_embeddings, embedding_inputs, encode_sentences
+from .encoder import StubEncoder, compose_embeddings, encode_sentences, sinusoid_table
 from .extractor import SentenceScores, predict_scores
 from .features import FeatureIndices, FeatureParams, all_features, feature_indices, init_feature_params
 from .rouge import stable_seed
@@ -46,7 +46,9 @@ class DocumentPlan:
     """
 
     doc: Document                 # truncated to max_sentences
-    embedding: EmbeddingInputs
+    base: ad.Tensor               # semantic + sinusoid position, [n x d]
+    parity: np.ndarray            # segment-table row per sentence
+    section: np.ndarray           # section-table row per sentence, clamped to the table
     mask: AttentionMask
     pad: ad.Tensor | None         # zero rows from n up to mask.padded_len
     features: FeatureIndices
@@ -156,12 +158,16 @@ class Model:
             doc = truncate_document(doc, cfg.max_sentences)
         n = doc.n_sentences
         semantic = encode_sentences(doc, self.encoder, cfg.max_chunk_tokens)
-        mask = build_attention_mask(
-            [n], cfg.window, [self.global_positions(doc)], max_sentences=cfg.max_sentences
-        )
+        mask = build_attention_mask([n], cfg.window, [self.global_positions(doc)])
         return DocumentPlan(
             doc=doc,
-            embedding=embedding_inputs(semantic, doc, cfg.s_max),
+            base=ad.Tensor(semantic + sinusoid_table(n, cfg.d_model)),
+            parity=np.arange(n, dtype=np.int64) % 2,
+            section=ad.clamp_indices(
+                np.array([s.section_index for s in doc.sentences], dtype=np.int64),
+                cfg.s_max,
+                warn_label="section embedding",
+            ),
             mask=mask,
             pad=ad.Tensor(np.zeros((mask.padded_len - n, cfg.d_model))) if mask.padded_len > n else None,
             features=feature_indices(doc, self.features),
@@ -173,7 +179,9 @@ class Model:
             plan = self.plan(doc)
         elif plan.doc.id != doc.id:
             raise ValueError(f"plan for document {plan.doc.id!r} passed with document {doc.id!r}")
-        embedded = compose_embeddings(plan.embedding, self.segment_table, self.encoder_section_table)
+        embedded = compose_embeddings(
+            plan.base, plan.parity, plan.section, self.segment_table, self.encoder_section_table
+        )
         h = embedded if plan.pad is None else ad.concat([embedded, plan.pad], axis=0)
         for layer in self.layers:
             h = transformer_layer(h, plan.mask, layer)

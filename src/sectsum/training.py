@@ -173,18 +173,14 @@ def evaluate_split(
     model: Model,
     items: list[LabeledDocument],
     tcfg: TrainConfig,
-    plans: list[DocumentPlan] | None = None,
-    references: list[list[str]] | None = None,
+    plans: list[DocumentPlan],
+    references: list[list[str]],
 ) -> dict:
     """Frozen-parameter evaluation: mean CE loss + selection ROUGE recalls.
 
-    `plans` and `references` (each item's plan and tokenized reference
-    summary) are built here when not given.
+    `plans` and `references` hold each item's plan and tokenized reference
+    summary.
     """
-    if plans is None:
-        plans = [model.plan(item.document) for item in items]
-    if references is None:
-        references = [tokenize(item.document.reference_summary) for item in items]
     sel = SelectionConfig(budget_ratio=tcfg.budget_ratio, trigram_threshold=tcfg.trigram_threshold)
     losses, r1s, r2s, rls = [], [], [], []
     with ad.no_grad():

@@ -51,7 +51,8 @@ def test_mask_without_globals_has_no_twos():
 
 
 def test_mask_caps_padding_at_max_sentences():
-    mask = build_attention_mask([10], window=4, max_sentences=10)
+    # a document at a max_sentences = 10 cap still pads up to the next window multiple
+    mask = build_attention_mask([10], window=4)
     assert mask.padded_len == 12
 
 
@@ -62,8 +63,6 @@ def test_mask_validates_arguments():
         build_attention_mask([], window=2)
     with pytest.raises(ValueError, match="length must be"):
         build_attention_mask([0], window=2)
-    with pytest.raises(ValueError, match="max_sentences"):
-        build_attention_mask([11], window=2, max_sentences=10)
     with pytest.raises(ValueError, match="outside document"):
         build_attention_mask([3], window=2, global_positions=[[3]])
     with pytest.raises(ValueError, match="entries for"):

@@ -410,6 +410,20 @@ def test_train_rejects_labels_with_duplicate_id(pipeline, tmp_path, capsys):
     assert f"labels line {len(lines) + 1}: duplicate id {doc_id!r} (first on line 2)" in capsys.readouterr().err
 
 
+def test_train_rejects_boolean_and_float_labels(pipeline, tmp_path, capsys):
+    lines = pipeline["labels"].read_text().splitlines()
+    row = json.loads(lines[2])
+    row["labels"] = [bool(v) for v in row["labels"][:1]] + [float(v) for v in row["labels"][1:]]
+    bad = tmp_path / "bool_labels.jsonl"
+    bad.write_text("\n".join(lines[:2] + [json.dumps(row)] + lines[3:]) + "\n")
+    rc = main(["train", "--config", str(pipeline["cfg"]), "--corpus", str(pipeline["corpus"]),
+               "--labels", str(bad), "--checkpoint-out", str(tmp_path / "m.ckpt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "labels line 3: labels must be a 0/1 list" in err and "Traceback" not in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_train_rejects_deeply_nested_labels_line(pipeline, tmp_path, capsys):
     lines = pipeline["labels"].read_text().splitlines()
     deep = tmp_path / "deep_labels.jsonl"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -150,6 +151,11 @@ def test_labeled_document_validates_length_and_values():
         LabeledDocument(doc, (1,))
     with pytest.raises(ValueError, match="0/1"):
         LabeledDocument(doc, (1, 2))
+    # only integers, Python or NumPy, count: True == 1 and 1.0 == 1 must not pass
+    for labels in ((True, 0), (1, False), (1.0, 0), (1, 0.0), (np.bool_(True), 0), (np.float64(1.0), 0)):
+        with pytest.raises(ValueError, match="0/1"):
+            LabeledDocument(doc, labels)
+    assert LabeledDocument(doc, (np.int64(1), np.int8(0))).labels == (1, 0)
 
 
 def test_validate_flags_empty_sentence_tokens():
@@ -256,6 +262,11 @@ def test_read_labels_rejects_bad_rows(tmp_path):
     path.write_text('{"id": "a", "labels": [0, 2]}\n', encoding="utf-8")
     with pytest.raises(SchemaError, match="0/1"):
         read_labels(path)
+    for item in ("true", "false", "1.0", "0.0"):
+        path.write_text('{"id": "a", "labels": [0, 1]}\n{"id": "b", "labels": [1, %s, 0]}\n' % item,
+                        encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"^labels line 2: labels must be a 0/1 list$"):
+            read_labels(path)
     path.write_text("not json\n", encoding="utf-8")
     with pytest.raises(ParseError):
         read_labels(path)

@@ -1,4 +1,4 @@
-"""Stub sentence encoder, sinusoid table, chunked encoding, composition."""
+"""Stub sentence encoder, sinusoid table, document encoding, composition."""
 
 from __future__ import annotations
 
@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 from helpers import doc_from_sections, sinusoid_rows
 from sectsum import autodiff as ad
 from sectsum.autodiff import DimensionError, Tensor
-from sectsum.config import resolve_config
+from sectsum.config import RunConfig, resolve_config
 from sectsum.encoder import (
     StubEncoder,
     compose_embeddings,
     encode_sentences,
-    embedding_inputs,
     sinusoid_table,
 )
 from sectsum.model import Model
@@ -117,20 +116,20 @@ def test_sinusoid_entries_bounded(pos, d):
 
 
 # ---------------------------------------------------------------------------
-# chunked encoding
+# document encoding
 # ---------------------------------------------------------------------------
 
 
-class CountingEncoder:
-    """Stub wrapper that records every chunk it is asked to encode."""
+class SpyEncoder:
+    """Stub wrapper that records every call to encode."""
 
     def __init__(self, d=4):
         self.d = d
-        self.chunks: list[list[tuple[str, ...]]] = []
+        self.calls: list[list[tuple[str, ...]]] = []
         self.inner = StubEncoder(d=d, seed=0)
 
     def encode(self, sentences):
-        self.chunks.append([tuple(s) for s in sentences])
+        self.calls.append([tuple(s) for s in sentences])
         return self.inner.encode(sentences)
 
 
@@ -144,21 +143,12 @@ def test_encode_sentences_matches_unchunked_result():
     assert tight.shape == (5, 4)
 
 
-def test_encode_sentences_respects_budget_and_section_boundaries():
-    doc = doc_from_sections("d", [["one two", "three four"], ["five six"]])
-    enc = CountingEncoder()
-    encode_sentences(doc, enc, max_chunk_tokens=4)
-    # both sentences of section 0 fit one chunk; section 1 starts a new chunk
-    assert enc.chunks == [[("one", "two"), ("three", "four")], [("five", "six")]]
-    for chunk in enc.chunks:
-        assert sum(len(c) for c in chunk) <= 4
-
-
-def test_encode_sentences_splits_when_budget_tight():
-    doc = doc_from_sections("d", [["one two", "three four", "five"]])
-    enc = CountingEncoder()
-    encode_sentences(doc, enc, max_chunk_tokens=3)
-    assert enc.chunks == [[("one", "two")], [("three", "four"), ("five",)]]
+def test_encode_sentences_encodes_the_whole_document_in_one_call():
+    doc = doc_from_sections("d", [["one two", "three four"], ["five six"], ["seven", "eight nine"]])
+    enc = SpyEncoder()
+    out = encode_sentences(doc, enc, max_chunk_tokens=2)
+    assert enc.calls == [[("one", "two"), ("three", "four"), ("five", "six"), ("seven",), ("eight", "nine")]]
+    np.testing.assert_array_equal(out, StubEncoder(d=4, seed=0).encode([s.tokens for s in doc.sentences]))
 
 
 def test_encode_sentences_oversize_sentence_raises():
@@ -180,12 +170,19 @@ def _tables(d, s_max):
     )
 
 
+def _inputs(semantic, doc):
+    """A plan's base, parity and section rows for a document whose sections fit the table."""
+    n, d = semantic.shape
+    section = np.array([s.section_index for s in doc.sentences], dtype=np.int64)
+    return Tensor(semantic + sinusoid_table(n, d)), np.arange(n) % 2, section
+
+
 def test_compose_embeddings_is_the_four_way_sum():
     doc = doc_from_sections("d", [["a b", "c d"], ["e f"]])
     d = 4
     segment, section = _tables(d, s_max=3)
     semantic = np.arange(3 * d, dtype=np.float64).reshape(3, d)
-    out = compose_embeddings(embedding_inputs(semantic, doc, 3), segment, section).data
+    out = compose_embeddings(*_inputs(semantic, doc), segment, section).data
     positions = sinusoid_table(3, d)
     for i, sent in enumerate(doc.sentences):
         expected = (
@@ -200,28 +197,31 @@ def test_compose_embeddings_is_the_four_way_sum():
 def test_compose_embeddings_clamps_section_index(caplog):
     doc = doc_from_sections("d", [["a"], ["b"], ["c"]])  # three sections
     segment, section = _tables(4, s_max=2)
-    out = compose_embeddings(embedding_inputs(np.zeros((3, 4)), doc, 2), segment, section).data
-    assert any("clamped" in r.message for r in caplog.records)
+    model = Model(RunConfig(d_model=4, layers=1, heads=2, window=2, s_max=2))
+    plan = model.plan(doc)
+    out = compose_embeddings(plan.base, plan.parity, plan.section, segment, section).data
+    assert any("section embedding" in r.message and "clamped" in r.message for r in caplog.records)
     # sentence 2 (section 2) clamps to section row 1
+    semantic = model.encoder.encode([s.tokens for s in doc.sentences])
     np.testing.assert_allclose(
-        out[2], sinusoid_table(3, 4)[2] + segment.data[0] + section.data[1]
+        out[2], semantic[2] + sinusoid_table(3, 4)[2] + segment.data[0] + section.data[1]
     )
 
 
 def test_compose_embeddings_validates_shapes():
     doc = doc_from_sections("d", [["a b", "c d"]])
     segment, section = _tables(4, s_max=2)
-    with pytest.raises(DimensionError, match="semantic"):
-        embedding_inputs(np.zeros((3, 4)), doc, 2)
-    with pytest.raises(DimensionError):
-        compose_embeddings(embedding_inputs(np.zeros((2, 4)), doc, 2), Tensor(np.zeros((3, 4))), section)
+    with pytest.raises(DimensionError, match="inconsistent"):
+        compose_embeddings(*_inputs(np.zeros((2, 4)), doc), Tensor(np.zeros((3, 4))), section)
+    with pytest.raises(DimensionError, match="inconsistent"):
+        compose_embeddings(*_inputs(np.zeros((2, 4)), doc), segment, Tensor(np.zeros((2, 3))))
 
 
 def test_compose_embeddings_gradients_reach_tables():
     doc = doc_from_sections("d", [["a b", "c d", "e f"]])
     segment = Tensor(np.zeros((2, 4)), requires_grad=True)
     section = Tensor(np.zeros((1, 4)), requires_grad=True)
-    out = compose_embeddings(embedding_inputs(np.zeros((3, 4)), doc, 1), segment, section)
+    out = compose_embeddings(*_inputs(np.zeros((3, 4)), doc), segment, section)
     ad.backward(ad.tsum(out))
     # parity 0 appears twice (positions 0 and 2), parity 1 once
     np.testing.assert_allclose(segment.grad[:, 0], [2.0, 1.0])

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +17,7 @@ from sectsum import model as model_module
 from sectsum.attention import select_global
 from sectsum.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from sectsum.config import RunConfig
+from sectsum.corpus import write_corpus
 from sectsum.model import Model
 from sectsum.rouge import stable_seed
 from sectsum.training import TrainConfig, ce_loss, train
@@ -282,3 +289,18 @@ def test_train_warns_of_a_clamped_section_once_per_document(caplog):
     clamped = [r for r in caplog.records
                if "section embedding" in r.getMessage() and "clamped" in r.getMessage()]
     assert len(clamped) == len(data)
+
+
+def test_readme_library_example_runs_on_a_document_past_max_sentences(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    max_sentences = RunConfig().max_sentences  # the example keeps the default
+    doc = planted_corpus(n_docs=1, n_sentences=max_sentences + 10, n_sections=2)[0].document
+    write_corpus([doc], tmp_path / "corpus.jsonl")
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(example, "README.md", "exec"), {})
+    printed = ast.literal_eval(out.getvalue())
+    kept = {s.text for s in doc.sentences[:max_sentences]}
+    assert printed and all(text in kept for text in printed)

@@ -11,7 +11,7 @@ from helpers import GREEK, doc_from_sections, small_random_doc
 from sectsum import autodiff as ad
 from sectsum import training
 from sectsum.config import RunConfig
-from sectsum.corpus import LabeledDocument, truncate_document
+from sectsum.corpus import LabeledDocument, tokenize, truncate_document
 from sectsum.model import Model
 from sectsum.rouge import Candidate, CandidateSet, Reward, sample_candidates, stable_seed
 from sectsum.training import (
@@ -325,7 +325,9 @@ def test_train_rejects_empty_and_all_holdout_datasets():
 def test_evaluate_split_leaves_gradients_untouched():
     data = _dataset(3)
     model = Model(_tiny_cfg())
-    stats = evaluate_split(model, data, TrainConfig(budget_ratio=0.5))
+    plans = [model.plan(item.document) for item in data]
+    references = [tokenize(item.document.reference_summary) for item in data]
+    stats = evaluate_split(model, data, TrainConfig(budget_ratio=0.5), plans, references)
     assert set(stats) == {"loss", "rouge1_recall", "rouge2_recall", "rougeL_recall"}
     assert stats["loss"] > 0
     for key in ("rouge1_recall", "rouge2_recall", "rougeL_recall"):
