@@ -143,12 +143,26 @@ def test_encode_sentences_matches_unchunked_result():
     assert tight.shape == (5, 4)
 
 
-def test_encode_sentences_encodes_the_whole_document_in_one_call():
-    doc = doc_from_sections("d", [["one two", "three four"], ["five six"], ["seven", "eight nine"]])
+def test_encode_sentences_respects_budget_and_section_boundaries():
+    doc = doc_from_sections("d", [["one two", "three four"], ["five six"]])
     enc = SpyEncoder()
     out = encode_sentences(doc, enc, max_chunk_tokens=2)
-    assert enc.calls == [[("one", "two"), ("three", "four"), ("five", "six"), ("seven",), ("eight", "nine")]]
+    # every sentence is at the budget; the one call crosses the section boundary in document order
+    assert enc.calls == [[("one", "two"), ("three", "four"), ("five", "six")]]
     np.testing.assert_array_equal(out, StubEncoder(d=4, seed=0).encode([s.tokens for s in doc.sentences]))
+    enc = SpyEncoder()
+    with pytest.raises(ValueError, match="doc d: sentence 0 has 2 tokens, exceeding max_chunk_tokens=1"):
+        encode_sentences(doc, enc, max_chunk_tokens=1)
+    assert enc.calls == []
+
+
+def test_encode_sentences_makes_one_call_when_budget_tight():
+    doc = doc_from_sections("d", [["one two", "three four", "five"]])
+    enc = SpyEncoder()
+    out = encode_sentences(doc, enc, max_chunk_tokens=3)
+    # five tokens in all exceed the budget of 3, yet no sentence does: nothing is split
+    assert enc.calls == [[("one", "two"), ("three", "four"), ("five",)]]
+    np.testing.assert_array_equal(out, encode_sentences(doc, StubEncoder(d=4, seed=0), max_chunk_tokens=1000))
 
 
 def test_encode_sentences_oversize_sentence_raises():
