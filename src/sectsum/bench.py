@@ -3,11 +3,14 @@
 Times one attention layer (the sparse chunked path against the dense O(n²)
 reference) over a range of document lengths at fixed window.  Timing and
 memory are measured in separate runs because tracemalloc itself slows
-execution; medians over repeats absorb scheduler noise.
+execution.  Each time is the fastest of its repeats (see _fastest_ms): a
+stall on a shared machine only ever adds time, so the minimum keeps the call
+it disturbed least.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -35,15 +38,22 @@ class BenchPoint:
     dense_peak_bytes: int
 
 
-def _median_ms(fn, repeats: int) -> float:
+def _fastest_ms(fns, repeats: int) -> list[float]:
+    """Each function's fastest of `repeats` timed calls, in milliseconds.
+
+    Every round times every function, each right after an untimed call that
+    warms the caches with its arrays, so a stall spoils one round of all the
+    functions rather than every repeat of one.
+    """
+    best = [float("inf")] * len(fns)
     with ad.no_grad():
-        fn()  # warmup: first call pays allocator/cache setup
-        times = []
         for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            times.append((time.perf_counter() - t0) * 1000.0)
-    return float(np.median(times))
+            for i, fn in enumerate(fns):
+                fn()
+                t0 = time.perf_counter()
+                fn()
+                best[i] = min(best[i], (time.perf_counter() - t0) * 1000.0)
+    return best
 
 
 def _peak_bytes(fn) -> int:
@@ -76,19 +86,14 @@ def run_bench(
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     params = init_attention_params(np.random.default_rng(seed), d_model, heads, 1)
-    points = []
+    cases = []
     for n in n_list:
         globals_ = select_global(n, global_ratio, global_policy, stable_seed(seed, "bench-globals", n))
         mask = build_attention_mask([n], window, [globals_])
         rng = np.random.default_rng(stable_seed(seed, "bench-input", n))
         x = ad.Tensor(rng.standard_normal((mask.padded_len, d_model)))
-
-        def sparse():
-            return global_attention(x, mask, params, heads)
-
-        def dense():
-            return full_attention_reference(x, mask, params, heads)
-
+        sparse = functools.partial(global_attention, x, mask, params, heads)
+        dense = functools.partial(full_attention_reference, x, mask, params, heads)
         if window >= n:
             with ad.no_grad():
                 gap = float(np.abs(sparse().data - dense().data).max())
@@ -96,16 +101,18 @@ def run_bench(
                 raise ValueError(
                     f"sparse/dense cross-check failed at n={n}: max abs difference {gap:.3e}"
                 )
-        points.append(
-            BenchPoint(
-                n=n,
-                sparse_ms=_median_ms(sparse, repeats),
-                dense_ms=_median_ms(dense, repeats),
-                sparse_peak_bytes=_peak_bytes(sparse),
-                dense_peak_bytes=_peak_bytes(dense),
-            )
+        cases.append((sparse, dense))
+    ms = _fastest_ms([fn for case in cases for fn in case], repeats)
+    return [
+        BenchPoint(
+            n=n,
+            sparse_ms=ms[2 * i],
+            dense_ms=ms[2 * i + 1],
+            sparse_peak_bytes=_peak_bytes(sparse),
+            dense_peak_bytes=_peak_bytes(dense),
         )
-    return points
+        for i, (n, (sparse, dense)) in enumerate(zip(n_list, cases))
+    ]
 
 
 def doubling_ratios(points: list[BenchPoint], attr: str) -> list[tuple[int, int, float]]:

@@ -1,9 +1,9 @@
 """Command-line surface: ingest, label, train, summarize, evaluate, bench.
 
-Every subcommand resolves one RunConfig (config file, then flag overrides),
-embeds its model hash in whatever artifact it writes, and refuses input
-artifacts carrying a different hash.  Exit codes: 0 success, 1 contract or
-validation failure, 2 I/O or usage problems.
+`main` resolves one RunConfig (config file, then flag overrides) and hands
+it to the subcommand, which embeds its model hash in whatever artifact it
+writes and refuses input artifacts carrying a different hash.  Exit codes:
+0 success, 1 contract or validation failure, 2 I/O or usage problems.
 """
 
 from __future__ import annotations
@@ -123,8 +123,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_ingest(args, cfg: RunConfig) -> int:
     report = load_corpus(args.input, max_sentences=cfg.max_sentences)
     check_artifact_hash((report.header or {}).get("config_hash"), cfg, "input corpus")
     for problem in report.problems:
@@ -161,8 +160,7 @@ def _load_corpus_strict(path: Path, cfg: RunConfig, what: str):
     return report.documents
 
 
-def cmd_label(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_label(args, cfg: RunConfig) -> int:
     docs = _load_corpus_strict(args.corpus, cfg, "corpus")
     rows = []
     for i, doc in enumerate(docs, start=1):
@@ -177,8 +175,7 @@ def cmd_label(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_train(args, cfg: RunConfig) -> int:
     docs = _load_corpus_strict(args.corpus, cfg, "corpus")
     labels_map, labels_header = read_labels(args.labels)
     check_artifact_hash((labels_header or {}).get("config_hash"), cfg, "labels file")
@@ -209,8 +206,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_summarize(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_summarize(args, cfg: RunConfig) -> int:
     arrays, _header = load_checkpoint(args.checkpoint, expected_hash=model_hash(cfg))
     model = Model(cfg)
     model.load_state(arrays)
@@ -235,8 +231,7 @@ def cmd_summarize(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_evaluate(args, cfg: RunConfig) -> int:
     summaries, header = read_summaries(args.summaries)
     check_artifact_hash((header or {}).get("config_hash"), cfg, "summaries file")
     docs = {d.id: d for d in _load_corpus_strict(args.corpus, cfg, "corpus")}
@@ -271,8 +266,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_bench(args, cfg: RunConfig) -> int:
     try:
         n_list = [int(tok) for tok in str(args.n_list).replace(" ", "").split(",") if tok]
     except ValueError:
@@ -316,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _config_from_args(args))
     except (TrainingError, ValueError) as e:
         print(f"sectsum {args.command}: {e}", file=sys.stderr)
         return 1

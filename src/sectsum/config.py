@@ -1,5 +1,10 @@
 """Flat key=value run configuration with CLI override precedence and hashing.
 
+RULES holds one check per setting.  Every settings object runs the rules of
+the fields it has when it is built: a RunConfig (after working out ffn_dim = 0
+as 4 * d_model), a TrainConfig and a SelectionConfig.  So a RunConfig built
+directly is the one resolve_config and the CLI build from the same values.
+
 The model hash covers every key that changes what a checkpoint *means*
 (architecture, mask geometry, encoder identity, seed) and is embedded in all
 output artifacts; commands refuse artifacts whose hash disagrees with the
@@ -12,12 +17,55 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 
 class ConfigError(ValueError):
     pass
+
+
+# field name -> (test of the settings object holding it, message), checked in this order
+RULES = {
+    "d_model": (lambda c: c.d_model >= 2 and c.d_model % 2 == 0, "d_model must be even and >= 2"),
+    "layers": (lambda c: c.layers >= 1, "layers must be >= 1"),
+    "heads": (lambda c: c.heads >= 1 and c.d_model % c.heads == 0, "heads must divide d_model"),
+    "window": (lambda c: c.window >= 1, "window must be >= 1"),
+    "global_ratio": (lambda c: 0 <= c.global_ratio <= 100, "global_ratio must be in [0, 100]"),
+    "global_policy": (
+        lambda c: c.global_policy in ("stride", "random"), "global_policy must be stride|random"
+    ),
+    "encoder": (lambda c: c.encoder == "stub", "encoder must be stub"),
+    "max_sentences": (lambda c: c.max_sentences >= 1, "max_sentences must be >= 1"),
+    "s_max": (lambda c: c.s_max >= 1, "s_max must be >= 1"),
+    "max_chunk_tokens": (lambda c: c.max_chunk_tokens >= 1, "max_chunk_tokens must be >= 1"),
+    "len_buckets": (lambda c: c.len_buckets >= 1, "len_buckets must be >= 1"),
+    "len_bucket_width": (lambda c: c.len_bucket_width >= 1, "len_bucket_width must be >= 1"),
+    "ffn_dim": (lambda c: c.ffn_dim >= 1, "ffn_dim must be >= 1"),
+    "combine": (lambda c: c.combine in ("sum", "concat"), "combine must be sum|concat"),
+    "seed": (lambda c: c.seed >= 0, "seed must be >= 0"),
+    "budget_ratio": (lambda c: 0 < c.budget_ratio <= 1, "budget_ratio must be in (0, 1]"),
+    "trigram_threshold": (
+        lambda c: c.trigram_threshold is None or c.trigram_threshold >= 0,
+        "trigram_threshold must be >= 0 or none",
+    ),
+    # a zero rate is allowed: it leaves every parameter as it is
+    "lr_scale": (lambda c: math.isfinite(c.lr_scale) and c.lr_scale >= 0, "lr_scale must be finite and >= 0"),
+    "warmup_steps": (lambda c: c.warmup_steps >= 1, "warmup_steps must be >= 1"),
+    "accumulation_steps": (lambda c: c.accumulation_steps >= 1, "accumulation_steps must be >= 1"),
+    "clip_norm": (lambda c: c.clip_norm > 0, "clip_norm must be > 0"),
+    "epochs": (lambda c: c.epochs >= 1, "epochs must be >= 1"),
+    "candidates_k": (lambda c: c.candidates_k >= 1, "candidates_k must be >= 1"),
+    "holdout_ratio": (lambda c: 0 <= c.holdout_ratio < 1, "holdout_ratio must be in [0, 1)"),
+}
+
+
+def check_settings(obj) -> None:
+    """Raise ConfigError with the message of the first rule that a field of `obj` breaks."""
+    for name, (ok, message) in RULES.items():
+        if hasattr(obj, name) and not ok(obj):
+            raise ConfigError(message)
 
 
 @dataclass
@@ -50,6 +98,11 @@ class RunConfig:
     reinforced: bool = False
     candidates_k: int = 5
     holdout_ratio: float = 0.1
+
+    def __post_init__(self):
+        if self.ffn_dim == 0:
+            self.ffn_dim = 4 * self.d_model
+        check_settings(self)
 
 
 MODEL_HASH_KEYS = (
@@ -129,7 +182,7 @@ def parse_config_file(path: str | Path) -> dict:
 
 
 def resolve_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
-    """File values, then explicit overrides, then validation/derivation."""
+    """File values, then explicit overrides, built into one (checked) RunConfig."""
     values: dict = {}
     if path is not None:
         values.update(parse_config_file(path))
@@ -139,45 +192,7 @@ def resolve_config(path: str | Path | None = None, overrides: dict | None = None
         if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = val
-    cfg = RunConfig(**values)
-    if cfg.ffn_dim == 0:
-        cfg.ffn_dim = 4 * cfg.d_model
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    checks = [
-        (cfg.d_model >= 2 and cfg.d_model % 2 == 0, "d_model must be even and >= 2"),
-        (cfg.layers >= 1, "layers must be >= 1"),
-        (cfg.heads >= 1 and cfg.d_model % cfg.heads == 0, "heads must divide d_model"),
-        (cfg.window >= 1, "window must be >= 1"),
-        (0 <= cfg.global_ratio <= 100, "global_ratio must be in [0, 100]"),
-        (cfg.global_policy in ("stride", "random"), "global_policy must be stride|random"),
-        (cfg.encoder == "stub", "encoder must be stub"),
-        (cfg.max_sentences >= 1, "max_sentences must be >= 1"),
-        (cfg.s_max >= 1, "s_max must be >= 1"),
-        (cfg.max_chunk_tokens >= 1, "max_chunk_tokens must be >= 1"),
-        (cfg.len_buckets >= 1, "len_buckets must be >= 1"),
-        (cfg.len_bucket_width >= 1, "len_bucket_width must be >= 1"),
-        (cfg.ffn_dim >= 1, "ffn_dim must be >= 1"),
-        (cfg.combine in ("sum", "concat"), "combine must be sum|concat"),
-        (cfg.seed >= 0, "seed must be >= 0"),
-        (0 < cfg.budget_ratio <= 1, "budget_ratio must be in (0, 1]"),
-        (
-            cfg.trigram_threshold is None or cfg.trigram_threshold >= 0,
-            "trigram_threshold must be >= 0 or none",
-        ),
-        (cfg.warmup_steps >= 1, "warmup_steps must be >= 1"),
-        (cfg.accumulation_steps >= 1, "accumulation_steps must be >= 1"),
-        (cfg.clip_norm > 0, "clip_norm must be > 0"),
-        (cfg.epochs >= 1, "epochs must be >= 1"),
-        (cfg.candidates_k >= 1, "candidates_k must be >= 1"),
-        (0 <= cfg.holdout_ratio < 1, "holdout_ratio must be in [0, 1)"),
-    ]
-    for ok, msg in checks:
-        if not ok:
-            raise ConfigError(msg)
+    return RunConfig(**values)
 
 
 def model_hash(cfg: RunConfig) -> str:

@@ -164,16 +164,6 @@ def serialize_document(doc: Document) -> str:
     return json.dumps(obj, ensure_ascii=False)
 
 
-def validate(doc: Document) -> list[str]:
-    """Return one problem per sentence that has no tokens (empty list means ok).
-
-    The other invariants (sentences exist, positions count up from 0, section
-    indices match their section) are made true by :func:`parse_document`.
-    """
-    return [f"doc {doc.id}: sentence {s.doc_position} has no tokens"
-            for s in doc.sentences if not s.tokens]
-
-
 def truncate_document(doc: Document, max_sentences: int) -> Document:
     """Drop sentences past max_sentences (and any sections they emptied)."""
     if doc.n_sentences <= max_sentences:
@@ -282,10 +272,6 @@ def load_corpus(path: str | Path, max_sentences: int | None = None) -> LoadRepor
             doc = parse_document(line, line_no)
         except CorpusError as e:
             report.problems.append(str(e))
-            continue
-        violations = validate(doc)
-        if violations:
-            report.problems.append(f"line {line_no}: " + "; ".join(violations))
             continue
         if doc.id in first_line:
             report.problems.append(

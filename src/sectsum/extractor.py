@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .config import check_settings
 from .corpus import Document, Sentence
 from .rouge import ngrams
 
@@ -33,10 +34,7 @@ class SelectionConfig:
     trigram_threshold: int | None = None  # None disables blocking
 
     def __post_init__(self):
-        if not 0 < self.budget_ratio <= 1:
-            raise ValueError(f"budget_ratio must be in (0, 1], got {self.budget_ratio}")
-        if self.trigram_threshold is not None and self.trigram_threshold < 0:
-            raise ValueError(f"trigram_threshold must be >= 0, got {self.trigram_threshold}")
+        check_settings(self)
 
 
 def predict_scores(

@@ -130,7 +130,7 @@ class FeatureIndices:
 
     length: np.ndarray    # length bucket
     position: np.ndarray  # document position, clamped to the table
-    section: np.ndarray   # section index, clamped to the table
+    section: np.ndarray   # section index, clamped to the table (the encoder's section rows too)
 
 
 def feature_indices(doc: Document, params: FeatureParams) -> FeatureIndices:

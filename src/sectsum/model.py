@@ -48,7 +48,6 @@ class DocumentPlan:
     doc: Document                 # truncated to max_sentences
     base: ad.Tensor               # semantic + sinusoid position, [n x d]
     parity: np.ndarray            # segment-table row per sentence
-    section: np.ndarray           # section-table row per sentence, clamped to the table
     mask: AttentionMask
     pad: ad.Tensor | None         # zero rows from n up to mask.padded_len
     features: FeatureIndices
@@ -163,11 +162,6 @@ class Model:
             doc=doc,
             base=ad.Tensor(semantic + sinusoid_table(n, cfg.d_model)),
             parity=np.arange(n, dtype=np.int64) % 2,
-            section=ad.clamp_indices(
-                np.array([s.section_index for s in doc.sentences], dtype=np.int64),
-                cfg.s_max,
-                warn_label="section embedding",
-            ),
             mask=mask,
             pad=ad.Tensor(np.zeros((mask.padded_len - n, cfg.d_model))) if mask.padded_len > n else None,
             features=feature_indices(doc, self.features),
@@ -179,8 +173,9 @@ class Model:
             plan = self.plan(doc)
         elif plan.doc.id != doc.id:
             raise ValueError(f"plan for document {plan.doc.id!r} passed with document {doc.id!r}")
+        # the feature table has s_max rows too, so its clamped section rows serve both tables
         embedded = compose_embeddings(
-            plan.base, plan.parity, plan.section, self.segment_table, self.encoder_section_table
+            plan.base, plan.parity, plan.features.section, self.segment_table, self.encoder_section_table
         )
         h = embedded if plan.pad is None else ad.concat([embedded, plan.pad], axis=0)
         for layer in self.layers:

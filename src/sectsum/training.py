@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .config import RunConfig
+from .config import RunConfig, check_settings
 from .corpus import LabeledDocument, tokenize, write_table
 from .extractor import SelectionConfig, SentenceScores, select_sentences
 from .model import DocumentPlan, Model
@@ -42,6 +42,9 @@ class TrainConfig:
     holdout_ratio: float = 0.1
     budget_ratio: float = 0.20
     trigram_threshold: int | None = None
+
+    def __post_init__(self):
+        check_settings(self)
 
     @classmethod
     def from_run_config(cls, cfg: RunConfig) -> "TrainConfig":

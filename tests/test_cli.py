@@ -19,7 +19,7 @@ from helpers import doc_from_sections, write_corpus_jsonl
 from sectsum.cli import _config_from_args, build_parser, main
 from sectsum.checkpoint import save_checkpoint
 from sectsum.config import RunConfig, model_hash, resolve_config
-from sectsum.corpus import read_labels
+from sectsum.corpus import read_labels, serialize_document
 
 
 TINY_CFG = """\
@@ -360,6 +360,37 @@ def test_train_writes_checkpoint_and_metrics(pipeline, capsys):
     assert lines[0].startswith("# config_hash=")
     assert lines[1] == "epoch,split,loss,rouge1_recall,rouge2_recall,rougeL_recall,lr"
     assert len(lines) == 2 + 2  # one train row per epoch, holdout_ratio 0
+
+
+def test_token_less_sentences_are_kept_through_the_walkthrough(tmp_path, capsys, cfg_file):
+    # sentences with no tokens ("!!!", "") keep their documents, down to one that has no token at all
+    docs = _docs(4, 6)
+    raw_docs = [json.loads(serialize_document(doc)) for doc in docs]
+    for obj in raw_docs[:2]:
+        obj["sections"][0]["sentences"].insert(1, "!!!")
+        obj["sections"][1]["sentences"].append("")
+    raw_docs.append({"id": "dots", "reference_summary": "alpha beta",
+                     "sections": [{"title": "t", "sentences": ["!!!", "...", "?"]}]})
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("".join(json.dumps(obj) + "\n" for obj in raw_docs))
+    corpus, labels, ckpt = tmp_path / "corpus.jsonl", tmp_path / "labels.jsonl", tmp_path / "m.ckpt"
+    summaries, scores = tmp_path / "summaries.jsonl", tmp_path / "scores.tsv"
+    steps = [
+        ["ingest", "--input", str(raw), "--out", str(corpus)],
+        ["label", "--corpus", str(corpus), "--out", str(labels)],
+        ["train", "--corpus", str(corpus), "--labels", str(labels), "--checkpoint-out", str(ckpt)],
+        ["summarize", "--corpus", str(corpus), "--checkpoint", str(ckpt), "--out", str(summaries)],
+        ["evaluate", "--summaries", str(summaries), "--corpus", str(corpus), "--out", str(scores)],
+    ]
+    for argv in steps:
+        assert main([*argv, "--config", str(cfg_file), "--trigram-threshold", "0"]) == 0, argv[0]
+    out = capsys.readouterr().out
+    assert "docs=5 sections=9 sentences=31 truncated=0 bad_lines=0" in out
+    assert "evaluate: 5 docs" in out
+    label_rows, _ = read_labels(labels)
+    assert label_rows["dots"] == [0, 0, 0] and len(label_rows["doc0"]) == 8
+    written = [json.loads(line) for line in summaries.read_text().splitlines()[1:]]
+    assert [r["id"] for r in written] == ["doc0", "doc1", "doc2", "doc3", "dots"]
 
 
 def test_train_checkpoint_is_byte_identical_at_a_fixed_blas_thread_count(tmp_path):

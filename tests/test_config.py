@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
+import re
 
 import pytest
 
+from sectsum.cli import build_parser, main
 from sectsum.config import (
     MODEL_HASH_KEYS,
+    RULES,
     ConfigError,
     RunConfig,
     check_artifact_hash,
@@ -15,6 +19,9 @@ from sectsum.config import (
     parse_config_file,
     resolve_config,
 )
+from sectsum.extractor import SelectionConfig
+from sectsum.model import Model
+from sectsum.training import TrainConfig
 
 
 def _write(tmp_path, text):
@@ -122,11 +129,73 @@ def test_resolve_rejects_unknown_override():
         ({"epochs": 0}, "epochs"),
         ({"encoder": "bert"}, "encoder must be stub"),
         ({"seed": -1}, "seed must be >= 0"),
+        ({"lr_scale": -1.0}, "lr_scale must be finite"),
+        ({"lr_scale": float("nan")}, "lr_scale must be finite"),
+        ({"ffn_dim": -1}, "ffn_dim must be >= 1"),
+        ({"candidates_k": 0}, "candidates_k must be >= 1"),
     ],
 )
 def test_resolve_validation_failures(overrides, msg):
     with pytest.raises(ConfigError, match=msg):
         resolve_config(None, overrides)
+
+
+# one value per rule that the rule refuses (the other fields keep their defaults)
+_BAD_VALUES = {
+    "d_model": 7, "layers": 0, "heads": 3, "window": 0, "global_ratio": 150.0,
+    "global_policy": "everywhere", "encoder": "bert", "max_sentences": 0, "s_max": 0,
+    "max_chunk_tokens": 0, "len_buckets": 0, "len_bucket_width": 0, "ffn_dim": -1,
+    "combine": "stack", "seed": -1, "budget_ratio": 0.0, "trigram_threshold": -2,
+    "lr_scale": -1.0, "warmup_steps": 0, "accumulation_steps": 0, "clip_norm": 0.0,
+    "epochs": 0, "candidates_k": 0, "holdout_ratio": 1.0,
+}
+_TRAIN_ARGS = ["--corpus", "c", "--labels", "l", "--checkpoint-out", "o"]
+
+
+def test_every_rule_has_a_bad_value():
+    assert list(_BAD_VALUES) == list(RULES)
+
+
+@pytest.mark.parametrize("key", list(_BAD_VALUES))
+def test_each_rule_refuses_its_bad_value_wherever_the_field_is_built(tmp_path, capsys, key):
+    bad, message = _BAD_VALUES[key], RULES[key][1]
+    builders = [b for b in (RunConfig, TrainConfig, SelectionConfig)
+                if key in {f.name for f in dataclasses.fields(b)}]
+    assert RunConfig in builders
+    for build in builders:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build(**{key: bad})
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        resolve_config(None, {key: bad})
+    # the CLI, from a config file line and (where the key has one) a flag, before reading any input
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"{key} = {bad}\n")
+    argvs = [["train", *_TRAIN_ARGS, "--config", str(cfg_file)]]
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    train_parser = subparsers.choices["train"]
+    flags = [a.option_strings[0] for a in train_parser._actions if a.dest == key]
+    argvs += [["train", *_TRAIN_ARGS, flag, str(bad)] for flag in flags]
+    for argv in argvs:
+        assert main(argv) == 1, argv
+        assert f"sectsum train: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("build", [RunConfig, TrainConfig])
+def test_lr_scale_must_be_finite_and_not_negative(build):
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="lr_scale must be finite and >= 0"):
+            build(lr_scale=bad)
+    assert build(lr_scale=0.0).lr_scale == 0.0  # a zero rate leaves the parameters as they are
+
+
+def test_run_config_built_directly_is_the_resolved_one():
+    direct, resolved = RunConfig(), resolve_config()
+    assert direct == resolved and direct.ffn_dim == 4 * direct.d_model
+    assert model_hash(direct) == model_hash(resolved)
+    a, b = Model(direct).parameters(), Model(resolved).parameters()
+    assert [(k, p.data.shape) for k, p in a.items()] == [(k, p.data.shape) for k, p in b.items()]
+    assert a["layer0.ffn_inner.weight"].data.shape == (256, 64)
+    assert RunConfig(ffn_dim=24).ffn_dim == 24  # a width that is set is kept
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from sectsum.corpus import (
     serialize_document,
     tokenize,
     truncate_document,
-    validate,
     write_corpus,
     write_labels,
 )
@@ -156,17 +155,6 @@ def test_labeled_document_validates_length_and_values():
         with pytest.raises(ValueError, match="0/1"):
             LabeledDocument(doc, labels)
     assert LabeledDocument(doc, (np.int64(1), np.int8(0))).labels == (1, 0)
-
-
-def test_validate_flags_empty_sentence_tokens():
-    doc = doc_from_sections("d4", [["real words", "!!!"]])
-    problems = validate(doc)
-    assert len(problems) == 1
-    assert "no tokens" in problems[0]
-
-
-def test_validate_clean_document():
-    assert validate(doc_from_sections("d5", [["a b c"]])) == []
 
 
 # ---------------------------------------------------------------------------

@@ -213,8 +213,10 @@ def test_compose_embeddings_clamps_section_index(caplog):
     segment, section = _tables(4, s_max=2)
     model = Model(RunConfig(d_model=4, layers=1, heads=2, window=2, s_max=2))
     plan = model.plan(doc)
-    out = compose_embeddings(plan.base, plan.parity, plan.section, segment, section).data
-    assert any("section embedding" in r.message and "clamped" in r.message for r in caplog.records)
+    out = compose_embeddings(plan.base, plan.parity, plan.features.section, segment, section).data
+    # the plan clamps the section rows once, for the encoder's and the feature's table alike
+    clamped = [r.message for r in caplog.records if "section" in r.message and "clamped" in r.message]
+    assert len(clamped) == 1
     # sentence 2 (section 2) clamps to section row 1
     semantic = model.encoder.encode([s.tokens for s in doc.sentences])
     np.testing.assert_allclose(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from helpers import GREEK, doc_from_sections, small_random_doc
 from sectsum import autodiff as ad
 from sectsum import training
-from sectsum.config import RunConfig
+from sectsum.config import ConfigError, RunConfig
 from sectsum.corpus import LabeledDocument, tokenize, truncate_document
 from sectsum.model import Model
 from sectsum.rouge import Candidate, CandidateSet, Reward, sample_candidates, stable_seed
@@ -317,9 +318,11 @@ def test_reinforced_documents_sharing_an_id_each_use_their_own_candidates(monkey
 def test_train_rejects_empty_and_all_holdout_datasets():
     with pytest.raises(ValueError, match="empty"):
         train(Model(_tiny_cfg()), [], TrainConfig())
+    with pytest.raises(ConfigError, match=re.escape("holdout_ratio must be in [0, 1)")):
+        TrainConfig(holdout_ratio=1.0)
     data = _dataset(3)
-    with pytest.raises(ValueError, match="no training documents"):
-        train(Model(_tiny_cfg()), data, TrainConfig(holdout_ratio=1.0))
+    with pytest.raises(ValueError, match="no training documents"):  # round(0.9 * 3) == 3 held out
+        train(Model(_tiny_cfg()), data, TrainConfig(holdout_ratio=0.9))
 
 
 def test_evaluate_split_leaves_gradients_untouched():
