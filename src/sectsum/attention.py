@@ -18,12 +18,19 @@ additive masks, the global rows, the validity columns) is its
 forward that reuses the mask.
 
 The sliding view and the sparse layer run one path (:func:`global_attention`).
-Per head it records two graph nodes, the band (:func:`_banded_rows`) and the
-global rows (:func:`_global_rows`), each with its backward written out; both
-replay, expression for expression, the op-by-op graph they replaced, so
-outputs and gradients keep their bits.  :func:`full_attention_reference` is
-a dense O(n²) form written out on its own, the oracle in tests and the
-quadratic baseline in benchmarks.
+The band, the global rows and the sublayer each have an array-level forward
+and a written-out backward, from which :func:`transformer_layer` records one
+autodiff graph node per layer: a default-config cross-entropy loss graph has
+193 nodes (136 of them parameters) at every document length.  They replay
+the op-by-op graph kept in ``tests/helpers.py`` expression for expression
+and operand layout for operand layout, and, as floating-point addition does
+not associate, sum the layer input's gradient in that graph's order (see
+:func:`_attention_backward`), so outputs and gradients keep their bits.
+Under :func:`~sectsum.autodiff.no_grad` nothing is saved for backward, so
+only one head's intermediates are alive at a time.
+
+:func:`full_attention_reference` is a dense O(n²) form written out on its
+own, the oracle in tests and the quadratic baseline in benchmarks.
 """
 
 from __future__ import annotations
@@ -242,92 +249,197 @@ def _split_columns(a: np.ndarray, at: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(a[:, :at]), np.ascontiguousarray(a[:, at:])
 
 
-def _banded_rows(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, layout: BandLayout) -> ad.Tensor:
-    """Chunked band attention for one head, recorded as one graph node.
+def _band_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, layout: BandLayout) -> tuple[np.ndarray, tuple]:
+    """Chunked band attention for one head, and the state its backward reuses.
 
     Each chunk of w query rows scores its 3w key span; the glob columns are
     masked out of the band and appended as extra targets for every row (so
-    band ∩ global never double counts).  Pad rows come out as zeros.  The
-    backward is the softmax Jacobian-vector product per chunk; dk and dv sum
-    the overlapping spans in chunk order, then add the glob columns.  Every
+    band ∩ global never double counts).  Pad rows come out as zeros.  Every
     matmul operand keeps the layout the op-by-op graph gave it (transposed
     key copies, contiguous probability halves), as BLAS may round another
     layout differently.
     """
-    valid_col, glob = layout.valid_col, layout.glob
-    k_glob_t = k.data[glob].T.copy()
-    v_glob = v.data[glob]
+    glob = layout.glob
+    k_glob_t = k[glob].T.copy()
+    v_glob = v[glob]
     saved = []
     outs = []
     for lo, hi, klo, khi, additive in layout.chunks:
-        q_c = q.data[lo:hi]
-        k_span_t = k.data[klo:khi].T.copy()
+        q_c = q[lo:hi]
+        k_span_t = k[klo:khi].T.copy()
         scores = q_c @ k_span_t + additive
         if glob.size:
             scores = np.concatenate([scores, q_c @ k_glob_t], axis=1)
         probs = ad.softmax_forward(scores, axis=1)
         p_band, p_glob = _split_columns(probs, khi - klo)
-        out = p_band @ v.data[klo:khi]
+        out = p_band @ v[klo:khi]
         if glob.size:
             out = out + p_glob @ v_glob
         outs.append(out)
         saved.append((lo, hi, klo, khi, q_c, k_span_t, probs, p_band, p_glob))
     banded = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
+    return banded * layout.valid_col, (v, k_glob_t, v_glob, saved)
 
-    def backward(g: np.ndarray) -> None:
-        g = g * valid_col
-        dq, dk, dv = np.zeros_like(q.data), np.zeros_like(k.data), np.zeros_like(v.data)
-        dk_glob = dv_glob = 0.0
-        for lo, hi, klo, khi, q_c, k_span_t, probs, p_band, p_glob in saved:
-            g_c = g[lo:hi]
-            dp = g_c @ v.data[klo:khi].T
-            if glob.size:
-                dp = np.concatenate([dp, g_c @ v_glob.T], axis=1)
-            ds_band, ds_glob = _split_columns(ad.softmax_backward(probs, dp, axis=1), khi - klo)
-            dq[lo:hi] = ds_band @ k_span_t.T
-            dk[klo:khi] += (q_c.T @ ds_band).T
-            dv[klo:khi] += p_band.T @ g_c
-            if glob.size:
-                dq[lo:hi] += ds_glob @ k_glob_t.T
-                dk_glob = dk_glob + (q_c.T @ ds_glob).T
-                dv_glob = dv_glob + p_glob.T @ g_c
+
+def _band_backward(g: np.ndarray, state: tuple, layout: BandLayout) -> tuple[np.ndarray, ...]:
+    """(dq, dk, dv) of :func:`_band_forward`: the softmax Jacobian-vector
+    product per chunk; dk and dv sum the overlapping spans in chunk order,
+    then add the glob columns."""
+    v, k_glob_t, v_glob, saved = state
+    glob = layout.glob
+    g = g * layout.valid_col
+    dq, dk, dv = np.zeros_like(v), np.zeros_like(v), np.zeros_like(v)
+    dk_glob = dv_glob = 0.0
+    for lo, hi, klo, khi, q_c, k_span_t, probs, p_band, p_glob in saved:
+        g_c = g[lo:hi]
+        dp = g_c @ v[klo:khi].T
         if glob.size:
-            dk[glob] += dk_glob
-            dv[glob] += dv_glob
-        ad._accumulate(q, dq)
-        ad._accumulate(k, dk)
-        ad._accumulate(v, dv)
+            dp = np.concatenate([dp, g_c @ v_glob.T], axis=1)
+        ds_band, ds_glob = _split_columns(ad.softmax_backward(probs, dp, axis=1), khi - klo)
+        dq[lo:hi] = ds_band @ k_span_t.T
+        dk[klo:khi] += (q_c.T @ ds_band).T
+        dv[klo:khi] += p_band.T @ g_c
+        if glob.size:
+            dq[lo:hi] += ds_glob @ k_glob_t.T
+            dk_glob = dk_glob + (q_c.T @ ds_glob).T
+            dv_glob = dv_glob + p_glob.T @ g_c
+    if glob.size:
+        dk[glob] += dk_glob
+        dv[glob] += dv_glob
+    return dq, dk, dv
 
-    return ad._make(banded * valid_col, (q, k, v), backward)
 
-
-def _global_rows(
-    local: ad.Tensor, q_glob: ad.Tensor, k: ad.Tensor, v: ad.Tensor, layout: BandLayout, inv_sqrt_d: float
-) -> ad.Tensor:
+def _global_rows_forward(
+    local: np.ndarray, q_glob: np.ndarray, k: np.ndarray, v: np.ndarray, layout: BandLayout, inv_sqrt_d: float
+) -> tuple[np.ndarray, tuple]:
     """Replace the glob rows of `local` by attention over all valid positions.
 
-    One graph node per head: `q_glob` holds the glob rows' query projections
-    before the 1/√d scale; they score every key, pad columns masked, and
-    their softmax-weighted values overwrite those rows of the banded output.
+    `q_glob` holds the glob rows' query projections before the 1/√d scale;
+    they score every key, pad columns masked, and their softmax-weighted
+    values overwrite those rows of the banded output.
     """
-    glob, keep_col = layout.glob, layout.keep_col
-    qg = q_glob.data * inv_sqrt_d
-    kt = k.data.T.copy()
-    scores = qg @ kt + layout.valid_scores
-    probs = ad.softmax_forward(scores, axis=1)
-    placed = np.zeros_like(local.data)
-    placed[glob] = probs @ v.data
+    qg = q_glob * inv_sqrt_d
+    kt = k.T.copy()
+    probs = ad.softmax_forward(qg @ kt + layout.valid_scores, axis=1)
+    placed = np.zeros_like(local)
+    placed[layout.glob] = probs @ v
+    return local * layout.keep_col + placed, (qg, kt, v, probs)
 
-    def backward(g: np.ndarray) -> None:
-        ad._accumulate(local, g * keep_col)
-        g_glob = g[glob]
-        dp = g_glob @ v.data.T
-        ds = ad.softmax_backward(probs, dp, axis=1)
-        ad._accumulate(q_glob, (ds @ kt.T) * inv_sqrt_d)
-        ad._accumulate(k, (qg.T @ ds).T)
-        ad._accumulate(v, probs.T @ g_glob)
 
-    return ad._make(local.data * keep_col + placed, (local, q_glob, k, v), backward)
+def _global_rows_backward(
+    g: np.ndarray, state: tuple, layout: BandLayout, inv_sqrt_d: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(d local, d q_glob, dk, dv) of :func:`_global_rows_forward`."""
+    qg, kt, v, probs = state
+    g_glob = g[layout.glob]
+    ds = ad.softmax_backward(probs, g_glob @ v.T, axis=1)
+    return g * layout.keep_col, (ds @ kt.T) * inv_sqrt_d, (qg.T @ ds).T, probs.T @ g_glob
+
+
+def _attention_tensors(params: AttentionParams, with_global: bool) -> list[ad.Tensor]:
+    """The parameters the attention sublayer reads; the global projections only with global rows."""
+    parts = ("query", "key", "value") + (("global_query", "global_key", "global_value") if with_global else ())
+    linears = [getattr(head, part) for head in params.heads for part in parts] + [params.output]
+    return [t for lin in linears for t in (lin.weight, lin.bias)]
+
+
+def _plus(total: np.ndarray | None, d: np.ndarray) -> np.ndarray:
+    return d if total is None else total + d
+
+
+def _head_forward(x: np.ndarray, head: HeadParams, layout: BandLayout, inv_sqrt_d: float, keep: bool):
+    """One head's projections, band and global rows: its output and, when
+    `keep`, the state its backward reads (else None, and each part is freed
+    as soon as the next is built)."""
+    q, q_wt = ad.linear_forward(x, head.query)
+    k, k_wt = ad.linear_forward(x, head.key)
+    v, v_wt = ad.linear_forward(x, head.value)
+    out, band = _band_forward(q * inv_sqrt_d, k, v, layout)
+    if not keep:
+        band = None
+    if not layout.glob.size:
+        return out, (q_wt, k_wt, v_wt, band, None) if keep else None
+    x_glob = x[layout.glob]
+    qg, qg_wt = ad.linear_forward(x_glob, head.global_query)
+    kg, kg_wt = ad.linear_forward(x, head.global_key)
+    vg, vg_wt = ad.linear_forward(x, head.global_value)
+    out, rows = _global_rows_forward(out, qg, kg, vg, layout, inv_sqrt_d)
+    return out, (q_wt, k_wt, v_wt, band, (rows, x_glob, qg_wt, kg_wt, vg_wt)) if keep else None
+
+
+def _head_backward(
+    g: np.ndarray, x: np.ndarray, head: HeadParams, state: tuple, layout: BandLayout, inv_sqrt_d: float,
+    dx: np.ndarray | None,
+) -> np.ndarray:
+    """Route one head's parameter gradients; return `dx` plus the head's input
+    gradient, added one projection at a time: query, key, value, then the
+    gathered global rows, the global keys and the global values."""
+    q_wt, k_wt, v_wt, band, global_state = state
+    if global_state is not None:
+        rows, x_glob, qg_wt, kg_wt, vg_wt = global_state
+        g, dqg, dkg, dvg = _global_rows_backward(g, rows, layout, inv_sqrt_d)
+    dq, dk, dv = _band_backward(g, band, layout)
+    dx = _plus(dx, ad.linear_backward(dq * inv_sqrt_d, x, q_wt, head.query))
+    dx = _plus(dx, ad.linear_backward(dk, x, k_wt, head.key))
+    dx = _plus(dx, ad.linear_backward(dv, x, v_wt, head.value))
+    if global_state is not None:
+        gathered = np.zeros_like(x)
+        np.add.at(gathered, layout.glob, ad.linear_backward(dqg, x_glob, qg_wt, head.global_query))
+        dx = _plus(dx, gathered)
+        dx = _plus(dx, ad.linear_backward(dkg, x, kg_wt, head.global_key))
+        dx = _plus(dx, ad.linear_backward(dvg, x, vg_wt, head.global_value))
+    return dx
+
+
+def _attention_forward(x: np.ndarray, layout: BandLayout, params: AttentionParams, keep: bool):
+    """The sparse attention sublayer on arrays: its output and, when `keep`,
+    the state :func:`_attention_backward` reads (else None)."""
+    inv_sqrt_d = 1.0 / math.sqrt(params.heads[0].query.out_features)
+    per_head, heads_state = [], []
+    for head in params.heads:
+        out, state = _head_forward(x, head, layout, inv_sqrt_d, keep)
+        per_head.append(out)
+        heads_state.append(state)
+    merged = per_head[0] if len(per_head) == 1 else np.concatenate(per_head, axis=1)
+    projected, out_wt = ad.linear_forward(merged, params.output)
+    state = (x, merged, out_wt, heads_state, inv_sqrt_d) if keep else None
+    return projected * layout.valid_col, state
+
+
+def _attention_backward(
+    g: np.ndarray, state: tuple, layout: BandLayout, params: AttentionParams, dx: np.ndarray | None
+) -> np.ndarray:
+    """Route the sublayer's parameter gradients; return `dx` plus its input gradient.
+
+    The input gradient is summed one contribution at a time in the order the
+    op-by-op graph's sweep summed it, heads ascending (see
+    :func:`_head_backward`), as floating-point addition does not associate;
+    summing a head's contributions first changes bits.  A `dx` of None takes
+    the first contribution as is.
+    """
+    x, merged, out_wt, heads_state, inv_sqrt_d = state
+    g_merged = ad.linear_backward(g * layout.valid_col, merged, out_wt, params.output)
+    d_head = g_merged.shape[1] // len(params.heads)
+    for h, (head, head_state) in enumerate(zip(params.heads, heads_state)):
+        g_head = g_merged[:, h * d_head:(h + 1) * d_head]
+        dx = _head_backward(g_head, x, head, head_state, layout, inv_sqrt_d, dx)
+    return dx
+
+
+def _ffn_forward(h: np.ndarray, params: AttentionParams, keep: bool):
+    """Linear → ReLU → Linear on arrays, and, when `keep`, the state its backward reads (else None)."""
+    inner, inner_wt = ad.linear_forward(h, params.ffn_inner)
+    active = inner > 0
+    hidden = np.where(active, inner, 0.0)
+    del inner  # not read again: without it, only the hidden layer's array is alive in the outer matmul
+    out, outer_wt = ad.linear_forward(hidden, params.ffn_outer)
+    return out, (inner_wt, active, hidden, outer_wt) if keep else None
+
+
+def _add_norm(x: np.ndarray, sub: np.ndarray, gain: ad.Tensor, bias: ad.Tensor, keep: bool):
+    """x + LayerNorm(sub), and, when `keep`, the state the LayerNorm's backward reads (else None)."""
+    normed, state = ad.layer_norm_forward(sub, gain, bias)
+    return x + normed, state if keep else None
 
 
 def sliding_window_attention(
@@ -345,23 +457,17 @@ def global_attention(x: ad.Tensor, mask: AttentionMask, params: AttentionParams,
     rows marked 2 then replace that output with one over all valid positions
     through the separate global projections.  The heads are merged,
     output-projected and pad rows zeroed.  With no global rows this is
-    :func:`sliding_window_attention`.
+    :func:`sliding_window_attention`.  Records one graph node.
     """
     _check_inputs(x, mask, params, heads)
     layout = mask.layout
-    glob = layout.glob
-    inv_sqrt_d = 1.0 / math.sqrt(params.heads[0].query.out_features)
+    parents = (x, *_attention_tensors(params, bool(layout.glob.size)))
+    out, state = _attention_forward(x.data, layout, params, ad.recording(parents))
 
-    per_head = []
-    for head in params.heads:
-        q = ad.scale(head.query(x), inv_sqrt_d)
-        out = _banded_rows(q, head.key(x), head.value(x), layout)
-        if glob.size:
-            q_glob = head.global_query(ad.gather_rows(x, glob))
-            out = _global_rows(out, q_glob, head.global_key(x), head.global_value(x), layout, inv_sqrt_d)
-        per_head.append(out)
-    merged = per_head[0] if heads == 1 else ad.concat(per_head, axis=1)
-    return ad.mul(params.output(merged), ad.Tensor(layout.valid_col))
+    def backward(g: np.ndarray) -> None:
+        ad._accumulate(x, _attention_backward(g, state, layout, params, None))
+
+    return ad._make(out, parents, backward)
 
 
 def full_attention_reference(
@@ -411,8 +517,32 @@ def transformer_layer(h_prev: ad.Tensor, mask: AttentionMask, params: AttentionP
 
     h~ = h_prev + LayerNorm(SparseAttention(h_prev))
     h  = h~ + LayerNorm(FFN(h~)),  FFN = Linear → ReLU → Linear
+
+    Records one graph node.  Its backward sums the input gradient as the
+    op-by-op graph did: the output gradient plus the FFN input's gradient,
+    then the attention contributions of :func:`_attention_backward`.
     """
-    attn = global_attention(h_prev, mask, params, len(params.heads))
-    h_mid = ad.add(h_prev, ad.layer_norm(attn, params.attn_gain, params.attn_bias))
-    ff = params.ffn_outer(ad.relu(params.ffn_inner(h_mid)))
-    return ad.add(h_mid, ad.layer_norm(ff, params.ffn_gain, params.ffn_bias))
+    _check_inputs(h_prev, mask, params, len(params.heads))
+    layout = mask.layout
+    parents = (
+        h_prev,
+        *_attention_tensors(params, bool(layout.glob.size)),
+        params.ffn_inner.weight, params.ffn_inner.bias, params.ffn_outer.weight, params.ffn_outer.bias,
+        params.attn_gain, params.attn_bias, params.ffn_gain, params.ffn_bias,
+    )
+    x = h_prev.data
+    keep = ad.recording(parents)
+    attn, attn_state = _attention_forward(x, layout, params, keep)
+    h_mid, attn_norm = _add_norm(x, attn, params.attn_gain, params.attn_bias, keep)
+    ff, ffn_state = _ffn_forward(h_mid, params, keep)
+    out, ff_norm = _add_norm(h_mid, ff, params.ffn_gain, params.ffn_bias, keep)
+
+    def backward(g: np.ndarray) -> None:
+        inner_wt, active, hidden, outer_wt = ffn_state
+        d_ff = ad.layer_norm_backward(g, ff_norm, params.ffn_gain, params.ffn_bias)
+        d_hidden = ad.linear_backward(d_ff, hidden, outer_wt, params.ffn_outer)
+        g_mid = g + ad.linear_backward(d_hidden * active, h_mid, inner_wt, params.ffn_inner)
+        d_attn = ad.layer_norm_backward(g_mid, attn_norm, params.attn_gain, params.attn_bias)
+        ad._accumulate(h_prev, _attention_backward(d_attn, attn_state, layout, params, g_mid))
+
+    return ad._make(out, parents, backward)

@@ -14,12 +14,17 @@ extra precision keeps those comparisons honest.
 
 An op is a forward computed on ``.data`` plus a backward closure, recorded
 with :func:`_make`; the closure routes its output gradient to the parents
-through :func:`_accumulate`.  Larger ops (:func:`linear`, the attention band)
-write their backward out by hand the same way.  A backward must not write
-into the gradient it receives, nor into any array it has handed to
-``_accumulate``: the first gradient a tensor receives is stored as is, not
-copied, so another node may still read it.  Arrays it allocates itself it
-may fill in place before handing them on.
+through :func:`_accumulate`.  Larger ops write their backward out by hand the
+same way; :func:`linear` and :func:`layer_norm` keep their arithmetic in
+array-level forward/backward pairs that ``attention.transformer_layer``, one
+node per layer, calls too.  A fused op keeps the bits of the ops it replaces
+only if it replays their expressions and adds the gradients of an input they
+share in the order the sweep added them.  It asks :func:`recording` before
+keeping state for its backward, so that under :func:`no_grad` it keeps none.
+A backward must not write into the gradient it receives, nor into any array
+it has handed to ``_accumulate``: the first gradient a tensor receives is
+stored as is, not copied, so another node may still read it.  Arrays it
+allocates itself it may fill in place before handing them on.
 
 The engine is not re-entrant: whether ops record (``_grad_enabled``) and the
 gradients of the running sweep (``_pass_grads``) are module globals, so two
@@ -104,6 +109,11 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+def recording(parents: Sequence[Tensor]) -> bool:
+    """Whether an op over `parents` records a graph node, and so keeps what its backward reads."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -111,7 +121,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.nd
     out.requires_grad = False
     out._parents = ()
     out._backward = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -318,6 +328,32 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(y, (a,), backward)
 
 
+def layer_norm_forward(
+    x: np.ndarray, gain: Tensor, bias: Tensor, eps: float = 1e-5
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """LayerNorm of an array's last axis, and the (xhat, 1/std) its backward reuses."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    return xhat * gain.data + bias.data, (xhat, inv)
+
+
+def layer_norm_backward(
+    g: np.ndarray, saved: tuple[np.ndarray, np.ndarray], gain: Tensor, bias: Tensor
+) -> np.ndarray:
+    """Add the gain and bias gradients of :func:`layer_norm_forward` into the
+    running sweep; return the input gradient."""
+    xhat, inv = saved
+    flat_axes = tuple(range(g.ndim - 1))
+    _accumulate(gain, (g * xhat).sum(axis=flat_axes))
+    _accumulate(bias, g.sum(axis=flat_axes))
+    dxhat = g * gain.data
+    term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * term
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
@@ -329,20 +365,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise DimensionError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match feature dim ({d},)"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    y = xhat * gain.data + bias.data
+    y, saved = layer_norm_forward(x.data, gain, bias, eps)
 
     def backward(g: np.ndarray) -> None:
-        flat_axes = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=flat_axes))
-        _accumulate(bias, g.sum(axis=flat_axes))
-        dxhat = g * gain.data
-        term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, inv * term)
+        _accumulate(x, layer_norm_backward(g, saved, gain, bias))
 
     return _make(y, (x, gain, bias), backward)
 
@@ -444,6 +470,21 @@ class Linear:
         return self.weight.shape[1]
 
 
+def linear_forward(x: np.ndarray, layer: Linear) -> tuple[np.ndarray, np.ndarray]:
+    """x @ weight.T + bias, and the transposed weight its backward reuses."""
+    # the copy keeps the BLAS call the composed transpose → matmul → add made
+    wt = layer.weight.data.T.copy()
+    return x @ wt + layer.bias.data, wt
+
+
+def linear_backward(g: np.ndarray, x: np.ndarray, wt: np.ndarray, layer: Linear) -> np.ndarray:
+    """Add the bias and weight gradients of :func:`linear_forward` into the
+    running sweep; return the input gradient."""
+    _accumulate(layer.bias, g.sum(axis=0))
+    _accumulate(layer.weight, (x.T @ g).T)
+    return g @ wt.T
+
+
 def linear(x, layer: Linear) -> Tensor:
     x = _as_tensor(x)
     if x.ndim != 2:
@@ -452,16 +493,12 @@ def linear(x, layer: Linear) -> Tensor:
         raise DimensionError(
             f"linear input width {x.shape} incompatible with weight {layer.weight.shape}"
         )
-    w, b = layer.weight, layer.bias
-    # the copy keeps the BLAS call the composed transpose → matmul → add made
-    wt = w.data.T.copy()
+    y, wt = linear_forward(x.data, layer)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(b, _unbroadcast(g, b.shape))
-        _accumulate(x, g @ wt.T)
-        _accumulate(w, (x.data.T @ g).T)
+        _accumulate(x, linear_backward(g, x.data, wt, layer))
 
-    return _make(x.data @ wt + b.data, (x, w, b), backward)
+    return _make(y, (x, layer.weight, layer.bias), backward)
 
 
 def clamp_indices(indices: np.ndarray, n_rows: int, *, warn_label: str = "embedding") -> np.ndarray:

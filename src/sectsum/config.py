@@ -4,6 +4,7 @@ RULES holds one check per setting.  Every settings object runs the rules of
 the fields it has when it is built: a RunConfig (after working out ffn_dim = 0
 as 4 * d_model), a TrainConfig and a SelectionConfig.  So a RunConfig built
 directly is the one resolve_config and the CLI build from the same values.
+All three are frozen, so no setting changes unchecked after construction.
 
 The model hash covers every key that changes what a checkpoint *means*
 (architecture, mask geometry, encoder identity, seed) and is embedded in all
@@ -68,8 +69,16 @@ def check_settings(obj) -> None:
             raise ConfigError(message)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a run, checked when built and read-only after.
+
+    An ``ffn_dim`` of 0 resolves to ``4 * d_model`` here, and the resolved
+    value is what the instance stores, so ``dataclasses.replace(cfg,
+    d_model=...)`` carries the old ``ffn_dim`` over instead of resolving it
+    again: pass ``ffn_dim=0`` with it to get the new default.
+    """
+
     # architecture / mask geometry (hashed)
     d_model: int = 64
     layers: int = 2
@@ -101,7 +110,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.ffn_dim == 0:
-            self.ffn_dim = 4 * self.d_model
+            object.__setattr__(self, "ffn_dim", 4 * self.d_model)
         check_settings(self)
 
 

@@ -29,7 +29,7 @@ class TrainingError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lr_scale: float = 1.0
     warmup_steps: int = 100

@@ -8,6 +8,7 @@ random content is drawn from `stable_seed`-derived generators.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left, insort
 from collections import Counter
 from pathlib import Path
@@ -126,7 +127,9 @@ def char_loop_tokenize(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # Each is the op-by-op form the fused op replaced, kept as the reference its
 # outputs and gradients must equal bit for bit.  They take the fused ops'
-# arguments so tests can swap them in where the callers look them up.
+# arguments so tests can swap them in where the callers look them up.  The
+# band and the global rows are parts of the sublayer and layer nodes, so only
+# the composed sublayer calls theirs.
 
 
 def composed_linear(x, layer):
@@ -184,6 +187,35 @@ def composed_global_rows(local, q_glob, k, v, layout, inv_sqrt_d):
         ad.mul(local, ad.Tensor(keep_local.astype(np.float64)[:, None])),
         ad.scatter_rows(glob_out, glob, valid.size),
     )
+
+
+def composed_global_attention(x, mask, params):
+    """The attention sublayer op by op: per head the composed projections, band
+    and global rows; then concat, output projection and pad mask."""
+    layout = mask.layout
+    glob = layout.glob
+    inv_sqrt_d = 1.0 / math.sqrt(params.heads[0].query.out_features)
+    per_head = []
+    for head in params.heads:
+        q = ad.scale(composed_linear(x, head.query), inv_sqrt_d)
+        k, v = composed_linear(x, head.key), composed_linear(x, head.value)
+        out = composed_banded_rows(q, k, v, layout)
+        if glob.size:
+            q_glob = composed_linear(ad.gather_rows(x, glob), head.global_query)
+            k, v = composed_linear(x, head.global_key), composed_linear(x, head.global_value)
+            out = composed_global_rows(out, q_glob, k, v, layout, inv_sqrt_d)
+        per_head.append(out)
+    merged = per_head[0] if len(per_head) == 1 else ad.concat(per_head, axis=1)
+    return ad.mul(composed_linear(merged, params.output), ad.Tensor(layout.valid_col))
+
+
+def composed_transformer_layer(h_prev, mask, params):
+    """One transformer layer op by op: the composed attention sublayer, then
+    LayerNorm, residual, ReLU FFN, LayerNorm and residual."""
+    attn = composed_global_attention(h_prev, mask, params)
+    h_mid = ad.add(h_prev, ad.layer_norm(attn, params.attn_gain, params.attn_bias))
+    ff = composed_linear(ad.relu(composed_linear(h_mid, params.ffn_inner)), params.ffn_outer)
+    return ad.add(h_mid, ad.layer_norm(ff, params.ffn_gain, params.ffn_bias))
 
 
 def sinusoid_rows(n: int, d: int) -> np.ndarray:

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import composed_banded_rows, composed_global_rows, composed_linear
-from sectsum import attention
+from helpers import composed_global_attention, composed_transformer_layer
 from sectsum import autodiff as ad
 from sectsum.attention import (
     AttentionMask,
@@ -312,13 +311,13 @@ def test_attention_gradients_flow_to_all_local_params():
 # ---------------------------------------------------------------------------
 
 
-def _layer_outputs_and_grads(x, mask, params, seed):
-    """Layer output, input gradient and every parameter gradient of one loss."""
+def _layer_outputs_and_grads(layer, x, mask, params, seed):
+    """Output, input gradient and every parameter gradient of one loss through `layer`."""
     x = Tensor(x.data, requires_grad=True)
     for t in _param_tensors(params):
         t.grad = None
     w = np.random.default_rng(seed).standard_normal(x.shape)
-    out = transformer_layer(x, mask, params)
+    out = layer(x, mask, params)
     ad.backward(ad.tsum(ad.mul(out, Tensor(w))))
     return [out.data, x.grad] + [t.grad for t in _param_tensors(params)]
 
@@ -331,25 +330,28 @@ def _param_tensors(params):
         params.attn_gain, params.attn_bias, params.ffn_gain, params.ffn_bias]
 
 
-def _assert_fused_equals_composed(monkeypatch, x, mask, params, seed):
-    fused = _layer_outputs_and_grads(x, mask, params, seed)
-    with monkeypatch.context() as m:
-        m.setattr(attention, "_banded_rows", composed_banded_rows)
-        m.setattr(attention, "_global_rows", composed_global_rows)
-        m.setattr(ad, "linear", composed_linear)
-        composed = _layer_outputs_and_grads(x, mask, params, seed)
-    assert len(fused) == len(composed)
-    for got, want in zip(fused, composed):
-        if want is None:  # no global rows: the global projections get no gradient
-            assert got is None
-        else:
-            assert got.shape == want.shape and np.array_equal(got, want)
+def _sublayer(x, mask, params):
+    return global_attention(x, mask, params, len(params.heads))
 
 
-def test_fused_layer_equals_composed_graph_on_random_cases(monkeypatch):
+def _assert_fused_equals_composed(x, mask, params, seed):
+    """The layer node, and the attention sublayer node, against their op-by-op graphs."""
+    for fused_op, composed_op in ((transformer_layer, composed_transformer_layer),
+                                  (_sublayer, composed_global_attention)):
+        fused = _layer_outputs_and_grads(fused_op, x, mask, params, seed)
+        composed = _layer_outputs_and_grads(composed_op, x, mask, params, seed)
+        assert len(fused) == len(composed)
+        for got, want in zip(fused, composed):
+            if want is None:  # a tensor the op does not read (no global rows, or FFN of the sublayer)
+                assert got is None
+            else:
+                assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_fused_layer_equals_composed_graph_on_random_cases():
     for seed in range(60):
         x, mask, params, _ = _rand_case(seed, with_globals=True)
-        _assert_fused_equals_composed(monkeypatch, x, mask, params, seed)
+        _assert_fused_equals_composed(x, mask, params, seed)
 
 
 @pytest.mark.parametrize(
@@ -363,33 +365,29 @@ def test_fused_layer_equals_composed_graph_on_random_cases(monkeypatch):
     ],
     ids=["multi-chunk", "no-globals", "all-global", "pad-rows", "one-head"],
 )
-def test_fused_layer_equals_composed_graph_on_edge_cases(monkeypatch, n, window, heads, glob):
+def test_fused_layer_equals_composed_graph_on_edge_cases(n, window, heads, glob):
     rng = np.random.default_rng(n)
     mask = build_attention_mask([n], window, [glob])
     x = Tensor(rng.standard_normal((mask.padded_len, 4 * heads)))
     params = _params(rng, 4 * heads, heads)
-    _assert_fused_equals_composed(monkeypatch, x, mask, params, n)
+    _assert_fused_equals_composed(x, mask, params, n)
 
 
-def test_band_and_global_ops_pass_gradient_checks():
-    # multi-chunk, globals in the band and pad rows: the 1e-4 layer bound of criterion 03
-    mask = build_attention_mask([11], 3, [[2, 7]])
-    layout = mask.layout
-    glob = layout.glob
+def test_layer_node_passes_gradient_checks():
+    # four chunks, globals inside other rows' bands, two pad rows: the 1e-4 layer bound of criterion 03
+    mask = build_attention_mask([10], 3, [[2, 7]])
+    assert mask.padded_len == 12
     rng = np.random.default_rng(4)
-    q, k, v, q_glob, local = (
-        Tensor(rng.standard_normal(shape), requires_grad=True)
-        for shape in [(mask.padded_len, 3)] * 3 + [(glob.size, 3), (mask.padded_len, 3)]
-    )
-    w = Tensor(rng.standard_normal((mask.padded_len, 3)))
+    x = Tensor(rng.standard_normal((mask.padded_len, 6)), requires_grad=True)
+    params = _params(rng, 6, 2)
+    w = Tensor(rng.standard_normal((mask.padded_len, 6)))
 
-    def band_loss(_):
-        return ad.tsum(ad.mul(attention._banded_rows(q, k, v, layout), w))
+    def loss(_):
+        return ad.tsum(ad.mul(transformer_layer(x, mask, params), w))
 
-    def global_loss(_):
-        return ad.tsum(ad.mul(attention._global_rows(local, q_glob, k, v, layout, 0.5), w))
-
-    for target in (q, k, v):
-        assert ad.grad_check(band_loss, target) < 1e-4
-    for target in (local, q_glob, k, v):
-        assert ad.grad_check(global_loss, target) < 1e-4
+    head0, head1 = params.heads
+    targets = [x, head0.query.weight, head0.key.bias, head0.value.weight, head1.global_query.weight,
+               head1.global_key.weight, head1.global_value.bias, params.output.weight,
+               params.ffn_inner.weight, params.ffn_outer.bias, params.attn_gain, params.ffn_bias]
+    for target in targets:
+        assert ad.grad_check(loss, target) < 1e-4

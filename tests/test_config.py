@@ -198,6 +198,25 @@ def test_run_config_built_directly_is_the_resolved_one():
     assert RunConfig(ffn_dim=24).ffn_dim == 24  # a width that is set is kept
 
 
+@pytest.mark.parametrize("build", [RunConfig, TrainConfig, SelectionConfig])
+def test_settings_cannot_be_assigned_after_construction(build):
+    cfg = build()
+    for name, bad in (("lr_scale", -1.0), ("budget_ratio", 2.0)):
+        if hasattr(cfg, name):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, bad)
+    assert cfg == build()
+
+
+def test_replace_carries_the_resolved_ffn_dim():
+    # documented: the stored ffn_dim is the resolved one, and replace keeps it
+    narrow = dataclasses.replace(RunConfig(), d_model=16)
+    assert narrow.ffn_dim == 256 and RunConfig(d_model=16).ffn_dim == 64
+    assert dataclasses.replace(RunConfig(), d_model=16, ffn_dim=0) == RunConfig(d_model=16)
+    with pytest.raises(ConfigError, match="lr_scale"):
+        dataclasses.replace(RunConfig(), lr_scale=-1.0)
+
+
 # ---------------------------------------------------------------------------
 # model hash
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import doc_from_sections, planted_corpus, small_random_doc
+from helpers import GREEK, composed_transformer_layer, doc_from_sections, planted_corpus, small_random_doc
 from sectsum import autodiff as ad
 from sectsum import model as model_module
 from sectsum.attention import select_global
@@ -19,8 +19,8 @@ from sectsum.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from sectsum.config import RunConfig
 from sectsum.corpus import write_corpus
 from sectsum.model import Model
-from sectsum.rouge import stable_seed
-from sectsum.training import TrainConfig, ce_loss, train
+from sectsum.rouge import sample_candidates, stable_seed
+from sectsum.training import TrainConfig, candidate_loss, ce_loss, train
 
 
 def _cfg(**over):
@@ -131,20 +131,25 @@ def test_forward_backward_reaches_every_relevant_parameter():
     assert all(t.grad is None for t in model.parameters().values())
 
 
-def _graph_nodes(loss: ad.Tensor) -> int:
-    seen = {id(loss)}
-    stack = [loss]
+def _reachable(out: ad.Tensor) -> dict[int, ad.Tensor]:
+    """The nodes a backward from `out` visits, leaves included, as perfbench counts them."""
+    seen = {id(out): out}
+    stack = [out]
     while stack:
         for parent in stack.pop()._parents:
             if parent.requires_grad and id(parent) not in seen:
-                seen.add(id(parent))
+                seen[id(parent)] = parent
                 stack.append(parent)
-    return len(seen)
+    return seen
+
+
+def _graph_nodes(loss: ad.Tensor) -> int:
+    return len(_reachable(loss))
 
 
 def test_loss_graph_size_does_not_grow_with_document_length():
     # window 50: one attention chunk at n=40, three at n=120, ten at n=480;
-    # the band and the global rows are one node per head at every length
+    # each transformer layer is one node at every length
     model = Model(RunConfig(d_model=16, window=50))
     counts = {}
     for n in (40, 120, 480):
@@ -152,6 +157,88 @@ def test_loss_graph_size_does_not_grow_with_document_length():
         counts[n] = _graph_nodes(ce_loss(model.forward(item.document), item.labels))
     assert counts[120] == counts[480]
     assert counts[40] <= 360
+
+
+def test_default_config_loss_graph_has_one_node_per_layer(monkeypatch):
+    # 136 parameter leaves and 57 other nodes; each layer's 49 op nodes became one
+    calls = []
+    layer = model_module.transformer_layer
+
+    def recorded_layer(h, mask, params):
+        calls.append((h, layer(h, mask, params)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(model_module, "transformer_layer", recorded_layer)
+    model = Model(RunConfig())
+    item = planted_corpus(n_docs=1, n_sentences=36, n_sections=4)[0]
+    loss = ce_loss(model.forward(item.document), item.labels)
+    assert len(model.parameters()) == 136
+    assert _graph_nodes(loss) == 193
+    assert len(calls) == model.cfg.layers
+    for h, out in calls:
+        reachable = _reachable(out)
+        added = set(reachable) - set(_reachable(h))
+        assert [i for i in added if reachable[i]._backward is not None] == [id(out)]
+
+
+def _composed_case_doc(seed: int, n: int):
+    """A seeded n-sentence, 2-section document and 0/1 labels with both classes when n > 1."""
+    rng = np.random.default_rng(seed)
+    texts = [" ".join(rng.choice(GREEK, size=int(rng.integers(2, 6)))) for _ in range(n)]
+    labels = np.zeros(n, dtype=np.int64)
+    labels[rng.choice(n, size=max(1, n // 3), replace=False)] = 1
+    reference = " ".join(texts[i] for i in np.nonzero(labels)[0])
+    return doc_from_sections(f"composed{seed}", [texts[: n // 2], texts[n // 2:]], reference=reference), labels
+
+
+def _loss_and_grads(model, doc, labels, reinforced):
+    model.zero_grads()
+    scores = model.forward(doc)
+    if reinforced:
+        loss = candidate_loss(scores, sample_candidates(doc, labels, 3, seed=stable_seed("cands", doc.id)))
+    else:
+        loss = ce_loss(scores, labels)
+    ad.backward(loss)
+    return loss.data.copy(), {name: t.grad for name, t in model.parameters().items()}
+
+
+# config overrides of _cfg (two layers, window 2, 25% global; four heads here, so the
+# default config's 136 parameters) and sentence counts
+COMPOSED_CASES = {
+    "multi-chunk": (dict(window=2), (7, 9, 10, 11, 12)),
+    "no-globals": (dict(global_ratio=0.0), (5, 6, 8, 9, 12)),
+    "all-globals": (dict(global_ratio=100.0, window=3), (2, 4, 7, 8, 11)),
+    "pad-rows": (dict(window=4), (5, 6, 7, 9, 10)),
+    "one-head": (dict(heads=1, global_ratio=40.0), (3, 6, 8, 10, 12)),
+    "one-sentence-concat": (dict(combine="concat", window=3), (1, 2, 3, 4, 5)),
+}
+
+
+@pytest.mark.parametrize("reinforced", [False, True], ids=["ce", "reinforced"])
+@pytest.mark.parametrize("case", list(COMPOSED_CASES))
+def test_model_equals_composed_graph_on_seeded_documents(monkeypatch, case, reinforced):
+    """The loss and every parameter gradient, None ones included, with each
+    transformer layer one node equal bit for bit those of the op-by-op graph."""
+    overrides, lengths = COMPOSED_CASES[case]
+    model = Model(_cfg(**{"heads": 4, **overrides}))
+    if model.cfg.heads == 4:
+        assert len(model.parameters()) == 136
+    for i, n in enumerate(lengths):
+        doc, labels = _composed_case_doc(stable_seed(case, reinforced, i), n)
+        fused_loss, fused = _loss_and_grads(model, doc, labels, reinforced)
+        with monkeypatch.context() as m:
+            m.setattr(model_module, "transformer_layer", composed_transformer_layer)
+            composed_loss, composed = _loss_and_grads(model, doc, labels, reinforced)
+        assert np.array_equal(fused_loss, composed_loss)
+        assert list(fused) == list(composed)
+        for name, want in composed.items():
+            got = fused[name]
+            if want is None:
+                assert got is None, name
+            else:
+                assert got is not None and got.shape == want.shape and np.array_equal(got, want), name
+        if model.cfg.global_ratio == 0.0:
+            assert all(fused[name] is None for name in fused if ".global_" in name)
 
 
 def test_checkpoint_round_trip_through_model(tmp_path):
