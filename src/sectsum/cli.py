@@ -216,6 +216,8 @@ def cmd_summarize(args, cfg: RunConfig) -> int:
     def records():
         for doc in sorted(docs, key=lambda d: d.id):
             scores = model.forward(doc)
+            if not np.isfinite(scores.values).all():
+                raise ValueError(f"doc {doc.id}: non-finite sentence scores from checkpoint {args.checkpoint}")
             picked = select_sentences(doc, scores, sel)
             sentences = doc.sentences
             yield {
@@ -226,7 +228,8 @@ def cmd_summarize(args, cfg: RunConfig) -> int:
             }
 
     with ad.no_grad():
-        write_summaries(records(), args.out, model.hash)
+        rows = list(records())  # every document is scored before --out is opened
+    write_summaries(rows, args.out, model.hash)
     print(f"summarize: wrote {len(docs)} summaries to {args.out}")
     return 0
 

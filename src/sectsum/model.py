@@ -122,7 +122,7 @@ class Model:
         ad.zero_grads(self._params.values())
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy checkpoint arrays into the live parameters, strictly by name."""
+        """Copy checkpoint arrays into the live parameters, strictly by name; all or nothing."""
         missing = sorted(set(self._params) - set(arrays))
         extra = sorted(set(arrays) - set(self._params))
         if missing or extra:
@@ -137,7 +137,8 @@ class Model:
                 raise CheckpointError(
                     f"parameter {name}: checkpoint shape {arr.shape} != model shape {tensor.data.shape}"
                 )
-            tensor.data = arr.astype(np.float64, copy=True)
+        for name, tensor in self._params.items():
+            tensor.data = arrays[name].astype(np.float64, copy=True)
             tensor.grad = None
 
     # -- forward -----------------------------------------------------------

@@ -267,6 +267,8 @@ def train(model: Model, dataset: list[LabeledDocument], tcfg: TrainConfig) -> Tr
         result.metrics.append(train_row)
         if holdout:
             ev = evaluate_split(model, holdout, tcfg, holdout_plans, holdout_refs)
+            if not math.isfinite(ev["loss"]):
+                raise TrainingError(f"non-finite holdout loss {ev['loss']} at epoch {epoch}")
             result.metrics.append({"epoch": epoch, "split": "holdout", "lr": last_lr, **ev})
         log.info(
             "epoch %d: train loss %.4f%s", epoch, train_row["loss"],

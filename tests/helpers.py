@@ -7,6 +7,7 @@ random content is drawn from `stable_seed`-derived generators.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from bisect import bisect_left, insort
@@ -17,7 +18,9 @@ import numpy as np
 
 from sectsum import autodiff as ad
 from sectsum.attention import NEG_INF
-from sectsum.corpus import Document, LabeledDocument, parse_document
+from sectsum.config import resolve_config
+from sectsum.corpus import Document, LabeledDocument, load_corpus, parse_document
+from sectsum.encoder import StubEncoder, encode_sentences
 from sectsum.rouge import _reference_counts, _score_counts, ngrams, stable_seed
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -120,6 +123,39 @@ def char_loop_tokenize(text: str) -> list[str]:
         if ch.isalnum() or ch.isspace():
             cleaned.append(ch)
     return "".join(cleaned).split()
+
+
+# ---------------------------------------------------------------------------
+# the per-token stub encoder that the bulk one replaced
+# ---------------------------------------------------------------------------
+
+
+def per_token_encode(d: int, seed: int, sentences) -> np.ndarray:
+    """One `default_rng` per token and `np.mean` per sentence, the reference for `StubEncoder.encode`."""
+
+    def vector(token: str) -> np.ndarray:
+        digest = hashlib.blake2b(f"{seed}\x1f{token}".encode("utf-8"), digest_size=8).digest()
+        return np.random.default_rng(int.from_bytes(digest, "little")).standard_normal(d)
+
+    out = np.zeros((len(sentences), d), dtype=np.float64)
+    for i, tokens in enumerate(sentences):
+        if tokens:
+            out[i] = np.mean([vector(t) for t in tokens], axis=0)
+    return out
+
+
+def semantic_matrix_bytes(config: Path, corpus: Path) -> bytes:
+    """Every document's semantic matrix as `Model.plan` encodes it, in corpus order.
+
+    One encoder serves the whole corpus, as in a run; the matrices are joined
+    as row-major little-endian float64.
+    """
+    cfg = resolve_config(config)
+    enc = StubEncoder(cfg.d_model, cfg.encoder_seed)
+    docs = load_corpus(corpus, max_sentences=cfg.max_sentences).documents
+    return b"".join(
+        encode_sentences(doc, enc, cfg.max_chunk_tokens).astype("<f8").tobytes() for doc in docs
+    )
 
 
 # ---------------------------------------------------------------------------

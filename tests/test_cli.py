@@ -524,6 +524,38 @@ def test_summarize_refuses_checkpoint_from_other_config(pipeline, tmp_path, caps
     assert "config hash mismatch" in capsys.readouterr().err
 
 
+# one update at a learning rate near the float64 maximum overflows the parameters' arithmetic
+DIVERGING = ["--epochs", "1", "--accumulation-steps", "100", "--lr-scale", "1e308"]
+
+
+def test_train_refuses_non_finite_holdout_loss_before_writing(pipeline, capsys):
+    ckpt = pipeline["dir"] / "model.ckpt"
+    rc = main(["train", "--config", str(pipeline["cfg"]), "--corpus", str(pipeline["corpus"]),
+               "--labels", str(pipeline["labels"]), "--checkpoint-out", str(ckpt),
+               "--holdout-ratio", "0.5", *DIVERGING])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "sectsum train: non-finite holdout loss nan at epoch 1" in err
+    assert "Traceback" not in err
+    assert not ckpt.exists() and not (ckpt.parent / (ckpt.name + ".metrics.csv")).exists()
+
+
+def test_summarize_refuses_non_finite_scores_and_writes_nothing(pipeline, tmp_path, capsys):
+    ckpt = pipeline["dir"] / "model.ckpt"
+    # no holdout, so nothing evaluates the diverged parameters before they are saved
+    assert main(["train", "--config", str(pipeline["cfg"]), "--corpus", str(pipeline["corpus"]),
+                 "--labels", str(pipeline["labels"]), "--checkpoint-out", str(ckpt), *DIVERGING]) == 0
+    out = tmp_path / "s.jsonl"
+    capsys.readouterr()
+    rc = main(["summarize", "--config", str(pipeline["cfg"]), "--corpus", str(pipeline["corpus"]),
+               "--checkpoint", str(ckpt), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"sectsum summarize: doc doc0: non-finite sentence scores from checkpoint {ckpt}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def _first_record_span(data: bytes) -> tuple[int, int]:
     """Byte range of a checkpoint's first record: after magic, header length and header."""
     start = 12 + int.from_bytes(data[8:12], "little")

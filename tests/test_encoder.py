@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import doc_from_sections, sinusoid_rows
+from helpers import (
+    DATA_DIR,
+    doc_from_sections,
+    per_token_encode,
+    semantic_matrix_bytes,
+    sinusoid_rows,
+)
 from sectsum import autodiff as ad
 from sectsum.autodiff import DimensionError, Tensor
 from sectsum.config import RunConfig, resolve_config
@@ -17,6 +27,7 @@ from sectsum.encoder import (
     StubEncoder,
     compose_embeddings,
     encode_sentences,
+    pcg64_states,
     sinusoid_table,
 )
 from sectsum.model import Model
@@ -64,6 +75,86 @@ def test_stub_encoder_order_independence_of_cache():
 def test_stub_encoder_validates_dimension():
     with pytest.raises(ValueError, match="positive"):
         StubEncoder(d=0)
+
+
+# ---------------------------------------------------------------------------
+# bulk encoding equals the per-token reference bit for bit
+# ---------------------------------------------------------------------------
+
+EDGE_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 2, 2**64 - 1]
+
+
+def test_pcg64_states_equal_default_rng_at_edge_and_random_seeds():
+    seeds = EDGE_SEEDS + [int(s) for s in np.random.default_rng(4).integers(0, 2**64, 300, dtype=np.uint64)]
+    expected = [np.random.default_rng(s).bit_generator.state["state"] for s in seeds]
+    assert list(pcg64_states(np.array(seeds, dtype=np.uint64))) == [(e["state"], e["inc"]) for e in expected]
+    assert list(pcg64_states(np.array([], dtype=np.uint64))) == []
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# lower-case letters and digits, ASCII and not, as the tokenizer leaves them; a
+# small alphabet makes repeated tokens within and across sentences common
+TOKENS = st.text(alphabet="ab1éßж日", min_size=1, max_size=3)
+
+
+@given(
+    sentences=st.lists(st.lists(TOKENS, max_size=40), max_size=8),
+    warm=st.lists(st.lists(TOKENS, max_size=10), max_size=4),
+    d=st.sampled_from([2, 3, 8, 64]),
+    seed=st.integers(min_value=-3, max_value=2**40),
+)
+@settings(max_examples=80, deadline=None)
+def test_encode_equals_the_per_token_reference(sentences, warm, d, seed):
+    enc = StubEncoder(d=d, seed=seed)
+    enc.encode(warm)  # the cache then holds some of the tokens, in another order
+    assert _same_bits(enc.encode(sentences), per_token_encode(d, seed, sentences))
+
+
+@pytest.mark.parametrize("max_chunk_tokens", [1, 7, 3072])
+def test_encode_sentences_equals_the_reference_up_to_max_chunk_tokens(max_chunk_tokens):
+    rng = np.random.default_rng(max_chunk_tokens)
+    lengths = [max_chunk_tokens, 0, 1, max(1, max_chunk_tokens // 2), max_chunk_tokens]
+    texts = [" ".join(f"w{int(i)}" for i in rng.integers(0, 400, n)) for n in lengths]
+    doc = doc_from_sections("d", [texts[:2], texts[2:]])
+    enc = StubEncoder(d=16, seed=2)
+    got = encode_sentences(doc, enc, max_chunk_tokens)
+    assert _same_bits(got, per_token_encode(16, 2, [s.tokens for s in doc.sentences]))
+    assert _same_bits(encode_sentences(doc, enc, max_chunk_tokens), got)  # warm cache
+
+
+def test_one_wide_vectors_equal_the_mean_within_rounding():
+    # at d = 1 np.mean sums a sentence's tokens pairwise, the bulk encoder in order,
+    # so the last bits may differ; no model reaches d = 1 (d_model is even)
+    sentences = [[f"t{i % 37}" for i in range(n)] for n in (0, 1, 9, 200, 3072)]
+    np.testing.assert_allclose(StubEncoder(d=1, seed=0).encode(sentences),
+                               per_token_encode(1, 0, sentences), rtol=0, atol=1e-13)
+
+
+def _load_gen():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_semantic_matrices_of_the_benchmark_corpora_keep_their_bytes(tmp_path):
+    """The recorded SHA-256s were taken with the per-token encoder."""
+    gen = _load_gen()
+    expected = dict(line.split()[::-1] for line in (DATA_DIR / "semantic.sha256").read_text().splitlines())
+    got = {}
+    for name, workload in gen.WORKLOADS.items():
+        paths = gen.workload_files(workload, 1, tmp_path / name)
+        for prefix in ("", "train_"):
+            raw = paths.get(f"{prefix}raw")
+            if raw is not None:
+                data = semantic_matrix_bytes(paths["config"], raw)
+                got[f"{name}/{prefix}semantic.f64"] = hashlib.sha256(data).hexdigest()
+    assert got == expected
 
 
 def test_model_encodes_with_the_configured_stub():

@@ -274,6 +274,17 @@ def test_load_state_rejects_name_and_shape_mismatches():
         model.load_state(bad_shape)
 
 
+def test_load_state_replaces_nothing_when_a_later_shape_mismatches():
+    model = Model(_cfg())
+    before = {k: t.data for k, t in model.parameters().items()}
+    arrays = {k: t.data + 1.0 for k, t in model.parameters().items()}
+    last = list(arrays)[-1]
+    arrays[last] = np.zeros((1, 1))
+    with pytest.raises(CheckpointError, match=f"parameter {last}: checkpoint shape"):
+        model.load_state(arrays)
+    assert all(t.data is before[k] for k, t in model.parameters().items())
+
+
 def test_concat_combine_mode_runs_end_to_end():
     model = Model(_cfg(combine="concat"))
     assert model.output_layer.in_features == 6 * model.cfg.d_model
