@@ -21,7 +21,7 @@ The sliding view and the sparse layer run one path (:func:`global_attention`).
 The band, the global rows and the sublayer each have an array-level forward
 and a written-out backward, from which :func:`transformer_layer` records one
 autodiff graph node per layer: a default-config cross-entropy loss graph has
-193 nodes (136 of them parameters) at every document length.  They replay
+191 nodes (136 of them parameters) at every document length.  They replay
 the op-by-op graph kept in ``tests/helpers.py`` expression for expression
 and operand layout for operand layout, and, as floating-point addition does
 not associate, sum the layer input's gradient in that graph's order (see

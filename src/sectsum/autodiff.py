@@ -232,13 +232,13 @@ def transpose(a) -> Tensor:
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
+    """`a` in a new shape; its data is a view where NumPy can make one (no op writes in place)."""
     a = _as_tensor(a)
-    data = a.data.reshape(shape)
 
     def backward(g: np.ndarray) -> None:
         _accumulate(a, g.reshape(a.shape))
 
-    return _make(data.copy(), (a,), backward)
+    return _make(a.data.reshape(shape), (a,), backward)
 
 
 def relu(a) -> Tensor:
@@ -292,18 +292,14 @@ def log(a) -> Tensor:
     return _make(np.log(a.data), (a,), backward)
 
 
-def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tsum(a) -> Tensor:
+    """The sum of every entry, as a scalar."""
     a = _as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g: np.ndarray) -> None:
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(gg, a.shape).copy())
+        _accumulate(a, np.broadcast_to(g, a.shape).copy())
 
-    return _make(np.asarray(data, dtype=np.float64), (a,), backward)
+    return _make(np.asarray(a.data.sum(), dtype=np.float64), (a,), backward)
 
 
 def softmax_forward(x: np.ndarray, axis: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 `main` resolves one RunConfig (config file, then flag overrides) and hands
 it to the subcommand, which embeds its model hash in whatever artifact it
 writes and refuses input artifacts carrying a different hash.  Exit codes:
-0 success, 1 contract or validation failure, 2 I/O or usage problems.
+0 success, 1 contract or validation failure, 2 I/O or usage problems.  NumPy's
+floating-point warnings are off: an overflowing model is reported by its refusal.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from .corpus import (
     write_summaries,
     write_table,
 )
-from .extractor import SelectionConfig, select_sentences, selection_budget
+from .extractor import select_sentences, selection_budget
 from .model import Model
 from .rouge import oracle_labels, rouge_l, rouge_n
-from .training import TrainConfig, TrainingError, train, write_metrics_csv
+from .training import TrainingError, train, write_metrics_csv
 
 log = logging.getLogger(__name__)
 
@@ -191,7 +192,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
         raise CorpusError(f"labels missing for {len(missing)} docs (first: {missing[:3]})")
 
     model = Model(cfg)
-    result = train(model, dataset, TrainConfig.from_run_config(cfg))
+    result = train(model, dataset, cfg)
     save_checkpoint(model.parameters(), args.checkpoint_out, seed=cfg.seed, config_hash=model.hash)
     metrics_path = args.metrics_out or Path(str(args.checkpoint_out) + ".metrics.csv")
     write_metrics_csv(result.metrics, metrics_path, model.hash)
@@ -211,14 +212,13 @@ def cmd_summarize(args, cfg: RunConfig) -> int:
     model = Model(cfg)
     model.load_state(arrays)
     docs = _load_corpus_strict(args.corpus, cfg, "corpus")
-    sel = SelectionConfig(budget_ratio=cfg.budget_ratio, trigram_threshold=cfg.trigram_threshold)
 
     def records():
         for doc in sorted(docs, key=lambda d: d.id):
             scores = model.forward(doc)
             if not np.isfinite(scores.values).all():
                 raise ValueError(f"doc {doc.id}: non-finite sentence scores from checkpoint {args.checkpoint}")
-            picked = select_sentences(doc, scores, sel)
+            picked = select_sentences(doc, scores, cfg)
             sentences = doc.sentences
             yield {
                 "id": doc.id,
@@ -313,7 +313,8 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, _config_from_args(args))
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args, _config_from_args(args))
     except (TrainingError, ValueError) as e:
         print(f"sectsum {args.command}: {e}", file=sys.stderr)
         return 1

@@ -1,10 +1,10 @@
 """Flat key=value run configuration with CLI override precedence and hashing.
 
-RULES holds one check per setting.  Every settings object runs the rules of
-the fields it has when it is built: a RunConfig (after working out ffn_dim = 0
-as 4 * d_model), a TrainConfig and a SelectionConfig.  So a RunConfig built
-directly is the one resolve_config and the CLI build from the same values.
-All three are frozen, so no setting changes unchecked after construction.
+RunConfig is the one settings object, handed whole to every stage.  RULES
+holds one check per setting, and a RunConfig runs them in table order when
+built (after working out ffn_dim = 0 as 4 * d_model), so one built directly
+is the one resolve_config and the CLI build from the same values.  It is
+keyword-only and frozen: no setting is set by position or changes unchecked.
 
 The model hash covers every key that changes what a checkpoint *means*
 (architecture, mask geometry, encoder identity, seed) and is embedded in all
@@ -27,7 +27,7 @@ class ConfigError(ValueError):
     pass
 
 
-# field name -> (test of the settings object holding it, message), checked in this order
+# field name -> (test of a RunConfig, message), checked in this order
 RULES = {
     "d_model": (lambda c: c.d_model >= 2 and c.d_model % 2 == 0, "d_model must be even and >= 2"),
     "layers": (lambda c: c.layers >= 1, "layers must be >= 1"),
@@ -62,14 +62,7 @@ RULES = {
 }
 
 
-def check_settings(obj) -> None:
-    """Raise ConfigError with the message of the first rule that a field of `obj` breaks."""
-    for name, (ok, message) in RULES.items():
-        if hasattr(obj, name) and not ok(obj):
-            raise ConfigError(message)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
     """Every setting of a run, checked when built and read-only after.
 
@@ -111,7 +104,9 @@ class RunConfig:
     def __post_init__(self):
         if self.ffn_dim == 0:
             object.__setattr__(self, "ffn_dim", 4 * self.d_model)
-        check_settings(self)
+        for ok, message in RULES.values():
+            if not ok(self):
+                raise ConfigError(message)
 
 
 MODEL_HASH_KEYS = (

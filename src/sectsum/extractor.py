@@ -1,4 +1,5 @@
-"""Score prediction and budgeted summary selection with trigram blocking."""
+"""Score prediction and budgeted summary selection with trigram blocking,
+under the run's RunConfig (`SelectionConfig` is another name for it)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .config import check_settings
+from .config import RunConfig
 from .corpus import Document, Sentence
 from .rouge import ngrams
 
@@ -28,13 +29,7 @@ class SentenceScores:
         return int(self.p.shape[0])
 
 
-@dataclass(frozen=True)
-class SelectionConfig:
-    budget_ratio: float = 0.20
-    trigram_threshold: int | None = None  # None disables blocking
-
-    def __post_init__(self):
-        check_settings(self)
+SelectionConfig = RunConfig
 
 
 def predict_scores(
@@ -86,7 +81,7 @@ def selection_budget(n_sentences: int, budget_ratio: float) -> int:
     return max(1, math.ceil(budget_ratio * n_sentences))
 
 
-def select_sentences(doc: Document, scores: SentenceScores | np.ndarray, cfg: SelectionConfig) -> list[int]:
+def select_sentences(doc: Document, scores: SentenceScores | np.ndarray, cfg: RunConfig) -> list[int]:
     """Greedy budgeted selection in descending score order.
 
     Ties break toward the earlier sentence; a candidate is skipped iff

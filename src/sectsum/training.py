@@ -5,20 +5,22 @@ documents before each SGD step under the NOAM learning-rate curve, and the
 partial batch left at an epoch boundary is flushed (applied) so no gradient
 ever crosses epochs.  In reinforced mode each document's loss is the mean of
 reward-weighted cross-entropies over sampled candidate summaries.
+The loop reads its settings from the run's RunConfig (`TrainConfig` is
+another name for it) and the architecture from the model's.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .config import RunConfig, check_settings
+from .config import RunConfig
 from .corpus import LabeledDocument, tokenize, write_table
-from .extractor import SelectionConfig, SentenceScores, select_sentences
+from .extractor import SentenceScores, select_sentences
 from .model import DocumentPlan, Model
 from .rouge import CandidateSet, rouge_l, rouge_n, sample_candidates, stable_seed
 
@@ -29,27 +31,7 @@ class TrainingError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    lr_scale: float = 1.0
-    warmup_steps: int = 100
-    accumulation_steps: int = 10
-    clip_norm: float = 1.0
-    epochs: int = 30
-    reinforced: bool = False
-    candidates_k: int = 5
-    seed: int = 0
-    holdout_ratio: float = 0.1
-    budget_ratio: float = 0.20
-    trigram_threshold: int | None = None
-
-    def __post_init__(self):
-        check_settings(self)
-
-    @classmethod
-    def from_run_config(cls, cfg: RunConfig) -> "TrainConfig":
-        """The RunConfig values of the fields TrainConfig shares with it by name."""
-        return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
+TrainConfig = RunConfig
 
 
 # ---------------------------------------------------------------------------
@@ -68,16 +50,15 @@ def ce_loss(p: SentenceScores | ad.Tensor, labels) -> ad.Tensor:
     n = probs.shape[0]
     if probs.ndim != 1 or y.shape != (n,):
         raise ValueError(f"ce_loss: scores shape {probs.shape} vs labels shape {y.shape}")
-    column = ad.reshape(probs, (n, 1))
     pos = np.nonzero(y == 1)[0]
     neg = np.nonzero(y == 0)[0]
-    total = ad.Tensor(0.0)
+    terms = []
     if pos.size:
-        total = ad.add(total, ad.tsum(ad.log(ad.gather_rows(column, pos))))
+        terms.append(ad.tsum(ad.log(ad.gather_rows(probs, pos))))
     if neg.size:
-        one_minus = ad.add(1.0, ad.neg(ad.gather_rows(column, neg)))
-        total = ad.add(total, ad.tsum(ad.log(one_minus)))
-    return ad.neg(total)
+        one_minus = ad.add(1.0, ad.neg(ad.gather_rows(probs, neg)))
+        terms.append(ad.tsum(ad.log(one_minus)))
+    return ad.neg(terms[0] if len(terms) == 1 else ad.add(*terms))
 
 
 def reinforced_loss(p: SentenceScores | ad.Tensor, candidate_labels, reward_value: float) -> ad.Tensor:
@@ -154,13 +135,13 @@ def split_holdout(
     return train, hold
 
 
-def _candidates(item: LabeledDocument, plan: DocumentPlan, tcfg: TrainConfig) -> CandidateSet:
+def _candidates(item: LabeledDocument, plan: DocumentPlan, cfg: RunConfig) -> CandidateSet:
     """The reinforced candidate set of one training document, sampled from its plan's document."""
     return sample_candidates(
         plan.doc,
         np.asarray(item.labels[: plan.doc.n_sentences], dtype=np.int64),
-        tcfg.candidates_k,
-        seed=stable_seed(tcfg.seed, "candidates", plan.doc.id),
+        cfg.candidates_k,
+        seed=stable_seed(cfg.seed, "candidates", plan.doc.id),
     )
 
 
@@ -175,7 +156,7 @@ def _doc_loss(model: Model, item: LabeledDocument, plan: DocumentPlan,
 def evaluate_split(
     model: Model,
     items: list[LabeledDocument],
-    tcfg: TrainConfig,
+    cfg: RunConfig,
     plans: list[DocumentPlan],
     references: list[list[str]],
 ) -> dict:
@@ -184,13 +165,12 @@ def evaluate_split(
     `plans` and `references` hold each item's plan and tokenized reference
     summary.
     """
-    sel = SelectionConfig(budget_ratio=tcfg.budget_ratio, trigram_threshold=tcfg.trigram_threshold)
     losses, r1s, r2s, rls = [], [], [], []
     with ad.no_grad():
         for item, plan, ref_tokens in zip(items, plans, references):
             scores = model.forward(plan.doc, plan)
             losses.append(float(ce_loss(scores, item.labels[: plan.doc.n_sentences]).data))
-            picked = select_sentences(plan.doc, scores, sel)
+            picked = select_sentences(plan.doc, scores, cfg)
             sentences = plan.doc.sentences
             cand_tokens: list[str] = []
             for i in picked:
@@ -206,20 +186,24 @@ def evaluate_split(
     }
 
 
-def train(model: Model, dataset: list[LabeledDocument], tcfg: TrainConfig) -> TrainResult:
-    """Run the full loop; deterministic given (dataset order, config, seed)."""
+def train(model: Model, dataset: list[LabeledDocument], cfg: RunConfig) -> TrainResult:
+    """Run the full loop; deterministic given (dataset order, config, seed).
+
+    With no holdout the shortest training document is scored after the last
+    update, so a diverged model raises TrainingError rather than returning.
+    """
     if not dataset:
         raise ValueError("train: dataset is empty")
-    train_set, holdout = split_holdout(dataset, tcfg.holdout_ratio, tcfg.seed)
+    train_set, holdout = split_holdout(dataset, cfg.holdout_ratio, cfg.seed)
     if not train_set:
         raise ValueError("train: holdout ratio left no training documents")
     result = TrainResult(holdout_ids=[it.document.id for it in holdout])
     params = model.parameters()
     d_model = model.cfg.d_model
-    epoch_rng = np.random.default_rng(stable_seed(tcfg.seed, "epoch-order"))
+    epoch_rng = np.random.default_rng(stable_seed(cfg.seed, "epoch-order"))
     # parameter-free inputs, built once and reused by every epoch
     train_plans = [model.plan(item.document) for item in train_set]
-    train_cands = [_candidates(item, plan, tcfg) if tcfg.reinforced else None
+    train_cands = [_candidates(item, plan, cfg) if cfg.reinforced else None
                    for item, plan in zip(train_set, train_plans)]
     holdout_plans = [model.plan(item.document) for item in holdout]
     holdout_refs = [tokenize(item.document.reference_summary) for item in holdout]
@@ -229,9 +213,9 @@ def train(model: Model, dataset: list[LabeledDocument], tcfg: TrainConfig) -> Tr
 
     def apply_update(flush: bool) -> None:
         nonlocal pending, last_lr
-        clip_gradients(params, tcfg.clip_norm)
+        clip_gradients(params, cfg.clip_norm)
         step = result.updates + 1
-        last_lr = noam_lr(step, d_model, tcfg.warmup_steps, tcfg.lr_scale)
+        last_lr = noam_lr(step, d_model, cfg.warmup_steps, cfg.lr_scale)
         sgd_step(params, last_lr)
         model.zero_grads()
         result.updates += 1
@@ -239,7 +223,7 @@ def train(model: Model, dataset: list[LabeledDocument], tcfg: TrainConfig) -> Tr
             result.flush_updates += 1
         pending = 0
 
-    for epoch in range(1, tcfg.epochs + 1):
+    for epoch in range(1, cfg.epochs + 1):
         order = epoch_rng.permutation(len(train_set))
         epoch_losses = []
         for idx in order:
@@ -255,7 +239,7 @@ def train(model: Model, dataset: list[LabeledDocument], tcfg: TrainConfig) -> Tr
             ad.backward(loss)
             del loss  # free this graph before the next forward builds one
             pending += 1
-            if pending == tcfg.accumulation_steps:
+            if pending == cfg.accumulation_steps:
                 apply_update(flush=False)
         if pending:
             apply_update(flush=True)  # partial batch at epoch end
@@ -266,7 +250,7 @@ def train(model: Model, dataset: list[LabeledDocument], tcfg: TrainConfig) -> Tr
         }
         result.metrics.append(train_row)
         if holdout:
-            ev = evaluate_split(model, holdout, tcfg, holdout_plans, holdout_refs)
+            ev = evaluate_split(model, holdout, cfg, holdout_plans, holdout_refs)
             if not math.isfinite(ev["loss"]):
                 raise TrainingError(f"non-finite holdout loss {ev['loss']} at epoch {epoch}")
             result.metrics.append({"epoch": epoch, "split": "holdout", "lr": last_lr, **ev})
@@ -274,6 +258,12 @@ def train(model: Model, dataset: list[LabeledDocument], tcfg: TrainConfig) -> Tr
             "epoch %d: train loss %.4f%s", epoch, train_row["loss"],
             f", holdout loss {result.metrics[-1]['loss']:.4f}" if holdout else "",
         )
+    if not holdout:
+        plan = min(train_plans, key=lambda pl: pl.doc.n_sentences)
+        with ad.no_grad():
+            scores = model.forward(plan.doc, plan)
+        if not np.isfinite(scores.values).all():
+            raise TrainingError(f"doc {plan.doc.id}: non-finite sentence scores after the last update")
     return result
 
 

@@ -254,6 +254,22 @@ def composed_transformer_layer(h_prev, mask, params):
     return ad.add(h_mid, ad.layer_norm(ff, params.ffn_gain, params.ffn_bias))
 
 
+def reference_ce_loss(probs, labels):
+    """The cross-entropy graph that reshaped the scores to a (n, 1) column,
+    gathered from it and added each label group's term to a zero seed."""
+    y = np.asarray(labels, dtype=np.int64)
+    column = ad.reshape(probs, (probs.shape[0], 1))
+    pos = np.nonzero(y == 1)[0]
+    neg = np.nonzero(y == 0)[0]
+    total = ad.Tensor(0.0)
+    if pos.size:
+        total = ad.add(total, ad.tsum(ad.log(ad.gather_rows(column, pos))))
+    if neg.size:
+        one_minus = ad.add(1.0, ad.neg(ad.gather_rows(column, neg)))
+        total = ad.add(total, ad.tsum(ad.log(one_minus)))
+    return ad.neg(total)
+
+
 def sinusoid_rows(n: int, d: int) -> np.ndarray:
     """The sinusoid table built row by row, the reference for the vectorised one."""
 

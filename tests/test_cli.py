@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,9 @@ import pytest
 
 import sectsum
 from helpers import doc_from_sections, write_corpus_jsonl
+from sectsum.autodiff import Tensor
 from sectsum.cli import _config_from_args, build_parser, main
-from sectsum.checkpoint import save_checkpoint
+from sectsum.checkpoint import load_checkpoint, save_checkpoint
 from sectsum.config import RunConfig, model_hash, resolve_config
 from sectsum.corpus import read_labels, serialize_document
 
@@ -540,11 +542,31 @@ def test_train_refuses_non_finite_holdout_loss_before_writing(pipeline, capsys):
     assert not ckpt.exists() and not (ckpt.parent / (ckpt.name + ".metrics.csv")).exists()
 
 
-def test_summarize_refuses_non_finite_scores_and_writes_nothing(pipeline, tmp_path, capsys):
+def test_train_without_holdout_refuses_a_diverged_model_before_writing(pipeline, capsys):
+    # no holdout: train scores its shortest document after the last update
     ckpt = pipeline["dir"] / "model.ckpt"
-    # no holdout, so nothing evaluates the diverged parameters before they are saved
+    rc = main(["train", "--config", str(pipeline["cfg"]), "--corpus", str(pipeline["corpus"]),
+               "--labels", str(pipeline["labels"]), "--checkpoint-out", str(ckpt), *DIVERGING])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "sectsum train: doc doc0: non-finite sentence scores after the last update\n"
+    assert not ckpt.exists() and not (ckpt.parent / (ckpt.name + ".metrics.csv")).exists()
+
+
+def _diverged_checkpoint(pipeline) -> Path:
+    """A trained checkpoint with every parameter scaled by 1e300: finite, but it overflows a forward."""
+    ckpt = pipeline["dir"] / "model.ckpt"
     assert main(["train", "--config", str(pipeline["cfg"]), "--corpus", str(pipeline["corpus"]),
-                 "--labels", str(pipeline["labels"]), "--checkpoint-out", str(ckpt), *DIVERGING]) == 0
+                 "--labels", str(pipeline["labels"]), "--checkpoint-out", str(ckpt)]) == 0
+    cfg = resolve_config(pipeline["cfg"])
+    arrays, _ = load_checkpoint(ckpt)
+    save_checkpoint({name: Tensor(a * 1e300) for name, a in arrays.items()}, ckpt,
+                    seed=cfg.seed, config_hash=model_hash(cfg))
+    return ckpt
+
+
+def test_summarize_refuses_non_finite_scores_and_writes_nothing(pipeline, tmp_path, capsys):
+    ckpt = _diverged_checkpoint(pipeline)
     out = tmp_path / "s.jsonl"
     capsys.readouterr()
     rc = main(["summarize", "--config", str(pipeline["cfg"]), "--corpus", str(pipeline["corpus"]),
@@ -554,6 +576,24 @@ def test_summarize_refuses_non_finite_scores_and_writes_nothing(pipeline, tmp_pa
     assert f"sectsum summarize: doc doc0: non-finite sentence scores from checkpoint {ckpt}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_refusals_of_an_overflowing_model_are_the_only_stderr_line(pipeline, tmp_path, capsys):
+    ckpt = _diverged_checkpoint(pipeline)
+    capsys.readouterr()
+    runs = [
+        (["train", "--corpus", str(pipeline["corpus"]), "--labels", str(pipeline["labels"]),
+          "--checkpoint-out", str(tmp_path / "diverged.ckpt"), *DIVERGING],
+         "sectsum train: doc doc0: non-finite sentence scores after the last update"),
+        (["summarize", "--corpus", str(pipeline["corpus"]), "--checkpoint", str(ckpt),
+          "--out", str(tmp_path / "s.jsonl")],
+         f"sectsum summarize: doc doc0: non-finite sentence scores from checkpoint {ckpt}"),
+    ]
+    for argv, line in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a floating-point warning would escape main as an exception
+            assert main([*argv, "--config", str(pipeline["cfg"])]) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
 
 
 def _first_record_span(data: bytes) -> tuple[int, int]:

@@ -22,6 +22,7 @@ from helpers import (
 )
 from sectsum import autodiff as ad
 from sectsum.autodiff import DimensionError, Tensor
+from sectsum.cli import main
 from sectsum.config import RunConfig, resolve_config
 from sectsum.encoder import (
     StubEncoder,
@@ -142,19 +143,48 @@ def _load_gen():
     return module
 
 
-def test_semantic_matrices_of_the_benchmark_corpora_keep_their_bytes(tmp_path):
-    """The recorded SHA-256s were taken with the per-token encoder."""
+@pytest.fixture(scope="module")
+def seed1_inputs(tmp_path_factory):
+    """Every raw corpus and run.cfg of the seed-1 benchmark workloads, by workload name."""
     gen = _load_gen()
-    expected = dict(line.split()[::-1] for line in (DATA_DIR / "semantic.sha256").read_text().splitlines())
+    root = tmp_path_factory.mktemp("seed1")
+    return {name: gen.workload_files(w, 1, root / name) for name, w in gen.WORKLOADS.items()}
+
+
+def _recorded(name: str) -> dict:
+    return dict(line.split()[::-1] for line in (DATA_DIR / name).read_text().splitlines())
+
+
+def test_semantic_matrices_of_the_benchmark_corpora_keep_their_bytes(seed1_inputs):
+    """The recorded SHA-256s were taken with the per-token encoder."""
     got = {}
-    for name, workload in gen.WORKLOADS.items():
-        paths = gen.workload_files(workload, 1, tmp_path / name)
+    for name, paths in seed1_inputs.items():
         for prefix in ("", "train_"):
             raw = paths.get(f"{prefix}raw")
             if raw is not None:
                 data = semantic_matrix_bytes(paths["config"], raw)
                 got[f"{name}/{prefix}semantic.f64"] = hashlib.sha256(data).hexdigest()
-    assert got == expected
+    assert got == _recorded("semantic.sha256")
+
+
+def test_oracle_labels_of_the_benchmark_corpora_keep_their_bytes(seed1_inputs):
+    """`ingest` and `label` on each seed-1 corpus give the recorded labels files, and the
+    ingested corpora the recorded semantic matrices."""
+    got, semantic = {}, {}
+    for name, paths in seed1_inputs.items():
+        work = paths["config"].parent
+        for prefix in ("", "train_"):
+            raw = paths.get(f"{prefix}raw")
+            if raw is not None:
+                cfg = ["--config", str(paths["config"])]
+                corpus, labels = work / f"{prefix}corpus.jsonl", work / f"{prefix}labels.jsonl"
+                assert main(["ingest", *cfg, "--input", str(raw), "--out", str(corpus)]) == 0
+                assert main(["label", *cfg, "--corpus", str(corpus), "--out", str(labels)]) == 0
+                got[f"{name}/{prefix}labels.jsonl"] = hashlib.sha256(labels.read_bytes()).hexdigest()
+                data = semantic_matrix_bytes(paths["config"], corpus)
+                semantic[f"{name}/{prefix}semantic.f64"] = hashlib.sha256(data).hexdigest()
+    assert got == _recorded("labels.sha256")
+    assert semantic == _recorded("semantic.sha256")
 
 
 def test_model_encodes_with_the_configured_stub():

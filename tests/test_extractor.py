@@ -177,9 +177,9 @@ def test_select_threshold_zero_skips_duplicate():
         ]],
     )
     scores = np.array([0.9, 0.8, 0.7])
-    blocked = select_sentences(doc, scores, SelectionConfig(0.5, trigram_threshold=0))
+    blocked = select_sentences(doc, scores, SelectionConfig(budget_ratio=0.5, trigram_threshold=0))
     assert blocked == [0, 2]
-    unblocked = select_sentences(doc, scores, SelectionConfig(0.5, trigram_threshold=None))
+    unblocked = select_sentences(doc, scores, SelectionConfig(budget_ratio=0.5, trigram_threshold=None))
     assert unblocked == [0, 1]
 
 
@@ -193,18 +193,18 @@ def test_select_threshold_is_strict_greater_than():
         ]],
     )
     scores = np.array([0.9, 0.8, 0.1])
-    at_three = select_sentences(doc, scores, SelectionConfig(0.5, trigram_threshold=3))
+    at_three = select_sentences(doc, scores, SelectionConfig(budget_ratio=0.5, trigram_threshold=3))
     assert at_three == [0, 1]  # overlap == threshold is admitted
-    at_two = select_sentences(doc, scores, SelectionConfig(0.5, trigram_threshold=2))
+    at_two = select_sentences(doc, scores, SelectionConfig(budget_ratio=0.5, trigram_threshold=2))
     assert at_two == [0, 2]
 
 
 def test_select_accepts_scores_object_and_validates_shape():
     doc = doc_from_sections("d", [["a one", "b two"]])
     scores = SentenceScores(Tensor(np.array([0.2, 0.7])))
-    assert select_sentences(doc, scores, SelectionConfig(0.5)) == [1]
+    assert select_sentences(doc, scores, SelectionConfig(budget_ratio=0.5)) == [1]
     with pytest.raises(ValueError, match="scores shape"):
-        select_sentences(doc, np.array([0.2]), SelectionConfig(0.5))
+        select_sentences(doc, np.array([0.2]), SelectionConfig(budget_ratio=0.5))
 
 
 @given(
@@ -222,7 +222,7 @@ def test_select_invariants(n, ratio, seed):
     doc = doc_from_sections("d", [texts])
     scores = rng.random(n)
     threshold = [None, 0, 2][int(rng.integers(0, 3))]
-    got = select_sentences(doc, scores, SelectionConfig(ratio, trigram_threshold=threshold))
+    got = select_sentences(doc, scores, SelectionConfig(budget_ratio=ratio, trigram_threshold=threshold))
     assert got == sorted(set(got))
     assert 1 <= len(got) <= selection_budget(n, ratio)
     if threshold is None:

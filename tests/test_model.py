@@ -160,7 +160,7 @@ def test_loss_graph_size_does_not_grow_with_document_length():
 
 
 def test_default_config_loss_graph_has_one_node_per_layer(monkeypatch):
-    # 136 parameter leaves and 57 other nodes; each layer's 49 op nodes became one
+    # 136 parameter leaves and 55 other nodes; each layer's 49 op nodes became one
     calls = []
     layer = model_module.transformer_layer
 
@@ -173,7 +173,7 @@ def test_default_config_loss_graph_has_one_node_per_layer(monkeypatch):
     item = planted_corpus(n_docs=1, n_sentences=36, n_sections=4)[0]
     loss = ce_loss(model.forward(item.document), item.labels)
     assert len(model.parameters()) == 136
-    assert _graph_nodes(loss) == 193
+    assert _graph_nodes(loss) == 191
     assert len(calls) == model.cfg.layers
     for h, out in calls:
         reachable = _reachable(out)

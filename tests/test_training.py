@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from helpers import GREEK, doc_from_sections, small_random_doc
+from helpers import GREEK, doc_from_sections, reference_ce_loss, small_random_doc
 from sectsum import autodiff as ad
 from sectsum import training
 from sectsum.config import ConfigError, RunConfig
@@ -78,6 +77,58 @@ def test_ce_loss_gradient_wrt_logits_is_p_minus_y():
 def test_ce_loss_saturated_correct_side_contributes_zero():
     p = ad.Tensor(np.array([1.0, 0.0]))  # exactly right for labels [1, 0]
     assert float(ce_loss(p, [1, 0]).data) == 0.0
+
+
+def _ce_cases():
+    """64 (probabilities, labels) cases: random, all-positive, all-negative,
+    and saturated on the right side (p = 1 on a 1, p = 0 on a 0)."""
+    rng = np.random.default_rng(stable_seed(0, "ce-cases"))
+    cases = []
+    for i in range(64):
+        n = int(rng.integers(1, 40))
+        p = rng.uniform(1e-6, 1.0 - 1e-6, size=n)
+        y = rng.integers(0, 2, size=n)
+        if i % 4 == 1:
+            y[:] = 1
+        elif i % 4 == 2:
+            y[:] = 0
+        elif i % 4 == 3:
+            right = rng.random(n) < 0.5
+            p[right] = y[right]
+        cases.append((p, y))
+    return cases
+
+
+def test_ce_loss_equals_the_reference_graph_bit_for_bit():
+    for p, y in _ce_cases():
+        grads = []
+        for loss_fn in (ce_loss, reference_ce_loss):
+            probs = ad.Tensor(p, requires_grad=True)
+            loss = loss_fn(probs, y)
+            ad.backward(loss)
+            grads.append((loss.data.tobytes(), probs.grad.tobytes()))
+        assert grads[0] == grads[1], (p, y)
+
+
+def test_candidate_loss_equals_the_reference_graph_bit_for_bit(monkeypatch):
+    # five terms share the scores, so their gradients add in the sweep's order
+    rng = np.random.default_rng(stable_seed(1, "ce-cases"))
+    for _ in range(20):
+        n = int(rng.integers(2, 30))
+        logits = rng.normal(size=n) * 3.0
+        cands = CandidateSet(
+            candidates=tuple(Candidate(rng.integers(0, 2, size=n), Reward(float(rng.random())))
+                             for _ in range(5)),
+            complete=True,
+        )
+        got = []
+        for loss_fn in (ce_loss, reference_ce_loss):
+            monkeypatch.setattr(training, "ce_loss", loss_fn)
+            x = ad.Tensor(logits, requires_grad=True)
+            loss = candidate_loss(ad.sigmoid(x), cands)
+            ad.backward(loss)
+            got.append((loss.data.tobytes(), x.grad.tobytes()))
+        assert got[0] == got[1]
 
 
 def test_ce_loss_shape_mismatch():
@@ -381,18 +432,6 @@ def test_training_past_max_sentences_equals_training_on_the_prefix(tcfg):
         assert np.array_equal(tensor.data, prefix_model.parameters()[name].data), name
     initial = Model(_tiny_cfg(max_sentences=10)).parameters()
     assert any(not np.array_equal(t.data, initial[n].data) for n, t in long_model.parameters().items())
-
-
-def test_train_config_mirrors_run_config_fields():
-    run_fields = {f.name: f for f in dataclasses.fields(RunConfig)}
-    train_fields = dataclasses.fields(TrainConfig)
-    assert {f.name for f in train_fields} <= set(run_fields)
-    for f in train_fields:
-        assert f.default == run_fields[f.name].default, f.name
-    cfg = _tiny_cfg(lr_scale=0.5, trigram_threshold=2, seed=7)
-    tcfg = TrainConfig.from_run_config(cfg)
-    for f in train_fields:
-        assert getattr(tcfg, f.name) == getattr(cfg, f.name), f.name
 
 
 # ---------------------------------------------------------------------------
