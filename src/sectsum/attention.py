@@ -26,8 +26,16 @@ the op-by-op graph kept in ``tests/helpers.py`` expression for expression
 and operand layout for operand layout, and, as floating-point addition does
 not associate, sum the layer input's gradient in that graph's order (see
 :func:`_attention_backward`), so outputs and gradients keep their bits.
-Under :func:`~sectsum.autodiff.no_grad` nothing is saved for backward, so
-only one head's intermediates are alive at a time.
+
+A recording forward saves only what its backward reads and cannot rebuild
+as the same bytes.  Per chunk, the band saves its bounds, its query rows (a
+view) and its softmax probabilities, plus the head's keys; the backward
+rebuilds the transposed key-span copy and the contiguous band and global
+halves of the probabilities exactly as the forward built them (copies, not
+views: BLAS may round a strided operand differently).  The FFN saves its
+hidden layer and rebuilds the ReLU mask as ``hidden > 0``.  Under
+:func:`~sectsum.autodiff.no_grad` nothing is saved for backward, so only one
+head's intermediates are alive at a time.
 
 :func:`full_attention_reference` is a dense O(n²) form written out on its
 own, the oracle in tests and the quadratic baseline in benchmarks.
@@ -227,7 +235,9 @@ def _band_chunks(valid: np.ndarray, window: int, glob: np.ndarray) -> list[tuple
     """Per chunk of w query rows: (lo, hi, klo, khi, additive band mask).
 
     The key span [klo, khi) reaches w past the chunk on each side; the mask
-    keeps |i - j| <= w over valid, non-glob columns.
+    keeps |i - j| <= w over valid, non-glob columns.  It is float32, which
+    holds 0 and NEG_INF exactly, and adding it to float64 scores gives
+    float64, so it costs half the memory for the same scores.
     """
     n_pad = valid.size
     band_ok = valid.copy()
@@ -240,7 +250,7 @@ def _band_chunks(valid: np.ndarray, window: int, glob: np.ndarray) -> list[tuple
         in_band = (
             np.abs(positions[lo:hi, None] - positions[None, klo:khi]) <= window
         ) & band_ok[None, klo:khi]
-        chunks.append((lo, hi, klo, khi, np.where(in_band, 0.0, NEG_INF)))
+        chunks.append((lo, hi, klo, khi, np.where(in_band, np.float32(0.0), np.float32(NEG_INF))))
     return chunks
 
 
@@ -276,21 +286,24 @@ def _band_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, layout: BandLayou
         if glob.size:
             out = out + p_glob @ v_glob
         outs.append(out)
-        saved.append((lo, hi, klo, khi, q_c, k_span_t, probs, p_band, p_glob))
+        saved.append((lo, hi, klo, khi, q_c, probs))
     banded = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
-    return banded * layout.valid_col, (v, k_glob_t, v_glob, saved)
+    return banded * layout.valid_col, (k, v, k_glob_t, v_glob, saved)
 
 
 def _band_backward(g: np.ndarray, state: tuple, layout: BandLayout) -> tuple[np.ndarray, ...]:
     """(dq, dk, dv) of :func:`_band_forward`: the softmax Jacobian-vector
     product per chunk; dk and dv sum the overlapping spans in chunk order,
     then add the glob columns."""
-    v, k_glob_t, v_glob, saved = state
+    k, v, k_glob_t, v_glob, saved = state
     glob = layout.glob
     g = g * layout.valid_col
     dq, dk, dv = np.zeros_like(v), np.zeros_like(v), np.zeros_like(v)
     dk_glob = dv_glob = 0.0
-    for lo, hi, klo, khi, q_c, k_span_t, probs, p_band, p_glob in saved:
+    for lo, hi, klo, khi, q_c, probs in saved:
+        # rebuilt as the forward built them, copies and all, so the matmuls see the same operands
+        k_span_t = k[klo:khi].T.copy()
+        p_band, p_glob = _split_columns(probs, khi - klo)
         g_c = g[lo:hi]
         dp = g_c @ v[klo:khi].T
         if glob.size:
@@ -429,11 +442,10 @@ def _attention_backward(
 def _ffn_forward(h: np.ndarray, params: AttentionParams, keep: bool):
     """Linear → ReLU → Linear on arrays, and, when `keep`, the state its backward reads (else None)."""
     inner, inner_wt = ad.linear_forward(h, params.ffn_inner)
-    active = inner > 0
-    hidden = np.where(active, inner, 0.0)
+    hidden = np.where(inner > 0, inner, 0.0)
     del inner  # not read again: without it, only the hidden layer's array is alive in the outer matmul
     out, outer_wt = ad.linear_forward(hidden, params.ffn_outer)
-    return out, (inner_wt, active, hidden, outer_wt) if keep else None
+    return out, (inner_wt, hidden, outer_wt) if keep else None
 
 
 def _add_norm(x: np.ndarray, sub: np.ndarray, gain: ad.Tensor, bias: ad.Tensor, keep: bool):
@@ -538,10 +550,11 @@ def transformer_layer(h_prev: ad.Tensor, mask: AttentionMask, params: AttentionP
     out, ff_norm = _add_norm(h_mid, ff, params.ffn_gain, params.ffn_bias, keep)
 
     def backward(g: np.ndarray) -> None:
-        inner_wt, active, hidden, outer_wt = ffn_state
+        inner_wt, hidden, outer_wt = ffn_state
         d_ff = ad.layer_norm_backward(g, ff_norm, params.ffn_gain, params.ffn_bias)
         d_hidden = ad.linear_backward(d_ff, hidden, outer_wt, params.ffn_outer)
-        g_mid = g + ad.linear_backward(d_hidden * active, h_mid, inner_wt, params.ffn_inner)
+        # hidden > 0 is inner > 0 element for element (NaN included), so the forward keeps no mask
+        g_mid = g + ad.linear_backward(d_hidden * (hidden > 0), h_mid, inner_wt, params.ffn_inner)
         d_attn = ad.layer_norm_backward(g_mid, attn_norm, params.attn_gain, params.attn_bias)
         ad._accumulate(h_prev, _attention_backward(d_attn, attn_state, layout, params, g_mid))
 

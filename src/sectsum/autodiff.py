@@ -4,9 +4,12 @@ Define-by-run: each operation returns a new :class:`Tensor` that remembers its
 parents and a closure that routes the incoming gradient to them.  Calling
 :func:`backward` on a scalar walks the recorded graph once in reverse
 topological order, carrying this pass's gradients in a scratch buffer, and
-adds the result into each leaf's ``.grad``.  Gradients accumulate there until
-explicitly cleared, so two backward calls on the same graph double every leaf
-gradient.  Graphs are rebuilt on every forward pass.
+adds the result into each leaf's ``.grad``.  An op's entry in that buffer is
+dropped when its backward runs, as no later node adds to it, so the sweep
+holds only gradients still to be routed; leaves keep theirs to the end.
+Gradients accumulate in ``.grad`` until explicitly cleared, so two backward
+calls on the same graph double every leaf gradient.  Graphs are rebuilt on
+every forward pass.
 
 Everything is float64 on purpose: the engine is meant for desk-scale models
 whose correctness is checked against central finite differences, and the
@@ -130,8 +133,9 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.nd
 
 # While a backward sweep is running, gradients flow through this per-pass
 # buffer (id(tensor) -> (tensor, grad)) instead of the persistent .grad
-# fields.  Only graph leaves have the pass result added into .grad at the
-# end, so repeated backward calls accumulate exactly one dLoss/dLeaf each.
+# fields.  An op's entry is popped when its backward runs; only graph leaves
+# have the pass result added into .grad at the end, so repeated backward
+# calls accumulate exactly one dLoss/dLeaf each.
 # _accumulate runs only inside the closures a sweep calls, so it is always set.
 _pass_grads: dict[int, tuple["Tensor", np.ndarray]] | None = None
 
@@ -525,7 +529,8 @@ def backward(out: Tensor) -> None:
 
     Each call adds exactly dLoss/dLeaf into every requires_grad leaf's .grad
     (pure accumulation: two calls without zeroing double the grads).
-    Intermediate nodes never retain gradients across calls.
+    Intermediate nodes never retain gradients: each one's pass gradient is
+    dropped once its backward has routed it.
     """
     if out.size != 1:
         raise DimensionError(f"backward expects a scalar output, got shape {out.shape}")
@@ -552,15 +557,15 @@ def backward(out: Tensor) -> None:
     _pass_grads = {id(out): (out, np.ones_like(out.data))}
     try:
         for node in reversed(topo):
-            entry = _pass_grads.get(id(node))
-            if entry is not None and node._backward is not None:
-                node._backward(entry[1])
+            # popped: in reverse topological order nothing adds to it afterwards
+            if node._backward is not None and id(node) in _pass_grads:
+                node._backward(_pass_grads.pop(id(node))[1])
     finally:
         pass_grads, _pass_grads = _pass_grads, None
 
+    # what is left are the leaves' entries
     for node, g in pass_grads.values():
-        if node._backward is None and node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
+        node.grad = g.copy() if node.grad is None else node.grad + g
 
 
 # ---------------------------------------------------------------------------

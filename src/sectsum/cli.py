@@ -237,6 +237,8 @@ def cmd_summarize(args, cfg: RunConfig) -> int:
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     summaries, header = read_summaries(args.summaries)
     check_artifact_hash((header or {}).get("config_hash"), cfg, "summaries file")
+    if not summaries:
+        raise CorpusError(f"summaries file: no records in {args.summaries}")
     docs = {d.id: d for d in _load_corpus_strict(args.corpus, cfg, "corpus")}
     missing = sorted(set(summaries) - set(docs))
     if missing:
@@ -261,7 +263,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
         ([doc_id, f"{r1:.6f}", f"{r2:.6f}", f"{rl:.6f}"] for doc_id, r1, r2, rl in rows),
         "\t",
     )
-    means = np.mean([[r1, r2, rl] for _, r1, r2, rl in rows], axis=0) if rows else np.zeros(3)
+    means = np.mean([[r1, r2, rl] for _, r1, r2, rl in rows], axis=0)
     print(
         f"evaluate: {len(rows)} docs, mean rouge1_recall={means[0]:.4f} "
         f"rouge2_recall={means[1]:.4f} rougeL_recall={means[2]:.4f}"

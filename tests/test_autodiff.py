@@ -157,6 +157,32 @@ def test_backward_accumulates_on_repeat():
     assert x.grad.tolist() == [4.0, 8.0]
 
 
+def test_backward_frees_each_pass_gradient_once_its_node_has_run():
+    # a is read by b (twice) and by c; w is a second leaf, read last
+    x = Tensor([0.5, -1.0], requires_grad=True)
+    w = Tensor([2.0, 3.0], requires_grad=True)
+    a = ad.tanh(x)
+    b = a * a
+    c = (b + a) * w
+    out = ad.tsum(c)
+    held = {}
+    for name, node in (("a", a), ("b", b), ("c", c), ("out", out)):
+        def spy(g, run=node._backward, name=name):
+            held[name] = set(ad._pass_grads)
+            run(g)
+        node._backward = spy
+    ad.backward(out)
+    # when a node's backward runs, every node after it in the sweep has
+    # dropped its entry, its own included; only leaves keep theirs
+    assert held["out"] == set()
+    assert held["c"] == set()
+    assert held["b"] == {id(w), id(a)}
+    assert held["a"] == {id(w)}
+    t = np.tanh(x.data)
+    np.testing.assert_allclose(x.grad, w.data * (2 * t + 1) * (1 - t * t), rtol=1e-12)
+    np.testing.assert_allclose(w.grad, t * t + t, rtol=1e-12)
+
+
 def test_backward_requires_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(DimensionError):

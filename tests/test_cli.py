@@ -721,6 +721,24 @@ def test_evaluate_rejects_summary_for_unknown_document(tmp_path, capsys, cfg_fil
     assert "not in corpus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content", ["", json.dumps({"artifact": "summaries"}) + "\n"], ids=["zero-bytes", "header-only"]
+)
+def test_evaluate_refuses_summaries_without_records(tmp_path, capsys, cfg_file, content):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(corpus, [doc_from_sections("d0", [["alpha beta"]], reference="alpha")])
+    summaries = tmp_path / "summaries.jsonl"
+    summaries.write_text(content)
+    out = tmp_path / "o.tsv"
+    rc = main(["evaluate", "--config", str(cfg_file), "--summaries", str(summaries),
+               "--corpus", str(corpus), "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"summaries file: no records in {summaries}" in captured.err
+    assert "evaluate:" not in captured.out
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------

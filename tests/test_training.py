@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import GREEK, doc_from_sections, reference_ce_loss, small_random_doc
+from helpers import GREEK, doc_from_sections, planted_corpus, reference_ce_loss, small_random_doc
 from sectsum import autodiff as ad
 from sectsum import training
 from sectsum.config import ConfigError, RunConfig
@@ -129,6 +130,26 @@ def test_candidate_loss_equals_the_reference_graph_bit_for_bit(monkeypatch):
             ad.backward(loss)
             got.append((loss.data.tobytes(), x.grad.tobytes()))
         assert got[0] == got[1]
+
+
+def test_long_document_step_keeps_only_what_its_backward_reads():
+    # one CE step on a 480-sentence document at the default config (ten band
+    # chunks, 96 global rows) peaks at ~37 MB; the bound sits below the ~44 MB
+    # of also keeping every pass gradient until the sweep ends, the ~46 MB of
+    # also keeping each chunk's probability halves and transposed keys, and
+    # the ~53 MB of keeping both
+    item = planted_corpus(n_docs=1, n_sentences=480, n_sections=8, n_planted=24)[0]
+    model = Model(RunConfig())
+    plan = model.plan(item.document)
+    with ad.no_grad():
+        model.forward(plan.doc, plan)  # builds the mask's band layout, which every step shares
+    tracemalloc.start()
+    try:
+        ad.backward(ce_loss(model.forward(plan.doc, plan), item.labels))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 41e6, f"step peak {peak / 1e6:.1f} MB"
 
 
 def test_ce_loss_shape_mismatch():
