@@ -243,6 +243,9 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     missing = sorted(set(summaries) - set(docs))
     if missing:
         raise CorpusError(f"evaluate: {len(missing)} summary ids not in corpus (first: {missing[:3]})")
+    unscored = sorted(set(docs) - set(summaries))
+    if unscored:
+        raise CorpusError(f"evaluate: {len(unscored)} corpus documents have no summary (first: {unscored[:3]})")
 
     rows = []
     for doc_id in sorted(summaries):

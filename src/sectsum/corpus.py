@@ -4,9 +4,11 @@ Documents arrive pre-split into sections and sentences (one JSON object per
 line); no sentence-boundary detection happens here.  All downstream stages
 (labeling, features, ROUGE) consume the token streams produced by
 :func:`tokenize`, so that rule is the single source of truth for what a
-"word" is.  The corpus, labels and summaries JSONL files share one line
-reader and one writer; the metrics, scores and bench tables share
-:func:`write_table`.
+"word" is.  Parsing keeps each sentence's text only: `Sentence.tokens` is
+tokenized on first read and its tokens interned, so `ingest` and `evaluate`,
+which read no sentence's tokens, never tokenize one.  The corpus, labels and
+summaries JSONL files share one line reader and one writer; the metrics,
+scores and bench tables share :func:`write_table`.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -38,9 +41,18 @@ class SchemaError(CorpusError):
 @dataclass(frozen=True)
 class Sentence:
     text: str
-    tokens: tuple[str, ...]
     doc_position: int
     section_index: int
+    # set on the first read of `tokens`; a field, not a functools.cached_property, whose
+    # cache would make CPython build a __dict__ for every sentence
+    _tokens: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        """`tokenize(text)`, computed on first read and interned: one str per distinct token."""
+        if self._tokens is None:
+            object.__setattr__(self, "_tokens", tuple(map(sys.intern, tokenize(self.text))))
+        return self._tokens
 
     @property
     def char_length(self) -> int:
@@ -145,7 +157,7 @@ def parse_document(line: str, line_no: int | None = None) -> Document:
         for text in raw_sents:
             if not isinstance(text, str):
                 raise SchemaError(f"{where}: section {si} contains a non-string sentence")
-            sents.append(Sentence(text=text, tokens=tuple(tokenize(text)), doc_position=pos, section_index=si))
+            sents.append(Sentence(text=text, doc_position=pos, section_index=si))
             pos += 1
         sections.append(Section(index=si, title=title, sentences=tuple(sents)))
     if pos == 0:

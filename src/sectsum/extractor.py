@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import RunConfig
 from .corpus import Document, Sentence
-from .rouge import ngrams
+from .rouge import clipped_overlap, ngrams
 
 
 @dataclass
@@ -70,10 +70,7 @@ def shared_trigrams(candidate: Sentence, pool: Counter) -> int:
     `pool` is the summed trigram bag of the sentences selected so far;
     multiset semantics both ways, so the overlap is the intersection size.
     """
-    cand = ngrams(candidate.tokens, 3)
-    if not cand:
-        return 0
-    return sum((cand & pool).values())
+    return clipped_overlap(ngrams(candidate.tokens, 3), pool)
 
 
 def selection_budget(n_sentences: int, budget_ratio: float) -> int:

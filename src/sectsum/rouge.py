@@ -40,10 +40,16 @@ ZERO_SCORE = RougeScore(0.0, 0.0, 0.0, degenerate=True)
 
 
 def ngrams(tokens: list[str] | tuple[str, ...], n: int) -> Counter:
-    """All contiguous n-token windows with multiplicity."""
+    """All contiguous n-token windows, as n-tuples, with multiplicity."""
     if n < 1:
         raise ValueError(f"ngrams: n must be >= 1, got {n}")
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def clipped_overlap(a: Counter, b: Counter) -> int:
+    """Clipped overlap Σ min(a[g], b[g]): the n-grams both hold, found by walking the smaller."""
+    common = a.keys() & b.keys()
+    return sum(map(min, map(a.__getitem__, common), map(b.__getitem__, common)))
 
 
 def _score_counts(overlap: int, cand_total: int, ref_total: int) -> RougeScore:
@@ -57,8 +63,7 @@ def _score_counts(overlap: int, cand_total: int, ref_total: int) -> RougeScore:
 def _rouge_n_counts(candidate: list[str], ref_counts: Counter, ref_total: int, n: int) -> RougeScore:
     """ROUGE-N of candidate tokens against precomputed reference n-gram counts."""
     cand_counts = ngrams(candidate, n)
-    overlap = sum((cand_counts & ref_counts).values())
-    return _score_counts(overlap, sum(cand_counts.values()), ref_total)
+    return _score_counts(clipped_overlap(cand_counts, ref_counts), sum(cand_counts.values()), ref_total)
 
 
 def rouge_n(candidate: list[str], reference: list[str], n: int) -> RougeScore:

@@ -8,8 +8,10 @@ random content is drawn from `stable_seed`-derived generators.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import math
+import sys
 from bisect import bisect_left, insort
 from collections import Counter
 from pathlib import Path
@@ -18,10 +20,18 @@ import numpy as np
 
 from sectsum import autodiff as ad
 from sectsum.attention import NEG_INF
-from sectsum.config import resolve_config
-from sectsum.corpus import Document, LabeledDocument, load_corpus, parse_document
+from sectsum.config import model_hash, resolve_config
+from sectsum.corpus import (
+    Document,
+    LabeledDocument,
+    load_corpus,
+    parse_document,
+    read_labels,
+    tokenize,
+    write_summaries,
+)
 from sectsum.encoder import StubEncoder, encode_sentences
-from sectsum.rouge import _reference_counts, _score_counts, ngrams, stable_seed
+from sectsum.rouge import RougeScore, _reference_counts, _score_counts, ngrams, stable_seed
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -156,6 +166,62 @@ def semantic_matrix_bytes(config: Path, corpus: Path) -> bytes:
     return b"".join(
         encode_sentences(doc, enc, cfg.max_chunk_tokens).astype("<f8").tobytes() for doc in docs
     )
+
+
+def load_perfbench_gen():
+    """perfbench/gen.py, the benchmark's workload generator, as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_oracle_summaries(config: Path, corpus: Path, labels: Path, out: Path, shift: int = 0) -> None:
+    """A summaries file whose extract of each document is its labelled sentences, in document order.
+
+    With `shift`, each labelled index i is replaced by (i + shift) mod n: an
+    extract that only partly matches the reference.
+    """
+    cfg = resolve_config(config)
+    docs = load_corpus(corpus, max_sentences=cfg.max_sentences).documents
+    labels_map, _ = read_labels(labels)
+    records = []
+    for doc in docs:
+        n = doc.n_sentences
+        picked = sorted({(i + shift) % n for i, v in enumerate(labels_map[doc.id]) if v})
+        sentences = doc.sentences
+        records.append({"id": doc.id, "selected": picked, "sentences": [sentences[i].text for i in picked]})
+    write_summaries(records, out, model_hash(cfg))
+
+
+# ---------------------------------------------------------------------------
+# the text path that lazy interned tokens and C-level counts replaced
+# ---------------------------------------------------------------------------
+
+
+def slice_ngrams(tokens, n: int) -> Counter:
+    """One slice per window, the reference for `rouge.ngrams`."""
+    if n < 1:
+        raise ValueError(f"ngrams: n must be >= 1, got {n}")
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def and_overlap(a: Counter, b: Counter) -> int:
+    """Σ min(a[g], b[g]) through `Counter.__and__`, the reference for the clipped overlaps."""
+    return sum((a & b).values())
+
+
+def slice_rouge_n(candidate, reference, n: int) -> RougeScore:
+    """`rouge_n` from slice counts and the `&` overlap."""
+    cand, ref = slice_ngrams(candidate, n), slice_ngrams(reference, n)
+    return _score_counts(and_overlap(cand, ref), sum(cand.values()), sum(ref.values()))
+
+
+def eager_tokens(text: str) -> tuple[str, ...]:
+    """A sentence's tokens as the parser once stored them, counted when the line was read."""
+    return tuple(tokenize(text))
 
 
 # ---------------------------------------------------------------------------

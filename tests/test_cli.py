@@ -21,7 +21,8 @@ from sectsum.autodiff import Tensor
 from sectsum.cli import _config_from_args, build_parser, main
 from sectsum.checkpoint import load_checkpoint, save_checkpoint
 from sectsum.config import RunConfig, model_hash, resolve_config
-from sectsum.corpus import read_labels, serialize_document
+from sectsum import corpus as corpus_module
+from sectsum.corpus import read_labels, serialize_document, tokenize, write_summaries
 
 
 TINY_CFG = """\
@@ -362,6 +363,25 @@ def test_train_writes_checkpoint_and_metrics(pipeline, capsys):
     assert lines[0].startswith("# config_hash=")
     assert lines[1] == "epoch,split,loss,rouge1_recall,rouge2_recall,rougeL_recall,lr"
     assert len(lines) == 2 + 2  # one train row per epoch, holdout_ratio 0
+
+
+def test_ingest_and_evaluate_never_tokenize_a_sentence(tmp_path, capsys, cfg_file, monkeypatch):
+    raw, corpus = tmp_path / "raw.jsonl", tmp_path / "corpus.jsonl"
+    docs = _docs(4, 6)
+    write_corpus_jsonl(raw, docs)
+    summaries = tmp_path / "summaries.jsonl"
+    records = [{"id": d.id, "selected": [0], "sentences": [d.sentences[0].text]} for d in docs]
+    write_summaries(records, summaries, model_hash(resolve_config(cfg_file)))
+    calls = []
+    # `Sentence.tokens` calls this; `evaluate` tokenizes references and extracts through cli.tokenize
+    monkeypatch.setattr(corpus_module, "tokenize", lambda text: calls.append(text) or tokenize(text))
+    cfg = ["--config", str(cfg_file)]
+    assert main(["ingest", *cfg, "--input", str(raw), "--out", str(corpus)]) == 0
+    assert main(["evaluate", *cfg, "--summaries", str(summaries), "--corpus", str(corpus),
+                 "--out", str(tmp_path / "scores.tsv")]) == 0
+    assert calls == []
+    assert main(["label", *cfg, "--corpus", str(corpus), "--out", str(tmp_path / "labels.jsonl")]) == 0
+    assert len(calls) == sum(d.n_sentences for d in docs)  # label reads each sentence's tokens once
 
 
 def test_token_less_sentences_are_kept_through_the_walkthrough(tmp_path, capsys, cfg_file):
@@ -719,6 +739,25 @@ def test_evaluate_rejects_summary_for_unknown_document(tmp_path, capsys, cfg_fil
                "--corpus", str(corpus), "--out", str(tmp_path / "o.tsv")])
     assert rc == 1
     assert "not in corpus" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_summaries_missing_corpus_documents(tmp_path, capsys, cfg_file):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(corpus, [doc_from_sections(f"d{i}", [["alpha beta"]], reference="alpha")
+                                for i in range(3)])
+    summaries = tmp_path / "summaries.jsonl"
+    summaries.write_text(
+        json.dumps({"artifact": "summaries"}) + "\n"
+        + json.dumps({"id": "d1", "selected": [0], "sentences": ["alpha beta"]}) + "\n"
+    )
+    out = tmp_path / "o.tsv"
+    rc = main(["evaluate", "--config", str(cfg_file), "--summaries", str(summaries),
+               "--corpus", str(corpus), "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "evaluate: 2 corpus documents have no summary (first: ['d0', 'd2'])" in captured.err
+    assert "evaluate:" not in captured.out
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

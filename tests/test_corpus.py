@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import char_loop_tokenize, doc_from_sections
+from helpers import char_loop_tokenize, doc_from_sections, eager_tokens, load_perfbench_gen
+from sectsum.config import resolve_config
 from sectsum.corpus import (
     LabeledDocument,
     ParseError,
@@ -98,6 +101,37 @@ def test_parse_document_builds_positions_and_sections():
     assert doc.sentences[0].char_length == len("One two.")
     assert len(doc.sections) == 2
     assert doc.sections[1].title == "part 1"
+
+
+@given(st.lists(st.text(), min_size=1, max_size=6))
+def test_sentence_tokens_equal_the_eager_tokens(texts):
+    doc = doc_from_sections("d", [texts])
+    assert [s.tokens for s in doc.sentences] == [eager_tokens(t) for t in texts]
+    assert all(type(s.tokens) is tuple for s in doc.sentences)
+
+
+def test_sentence_tokens_are_interned_and_computed_once():
+    doc = doc_from_sections("d", [["Alpha beta, ALPHA!", "beta"]])
+    first, second = doc.sentences
+    assert first.tokens is first.tokens
+    assert all(sys.intern(tok) is tok for s in doc.sentences for tok in s.tokens)
+    assert first.tokens[0] is first.tokens[2] and first.tokens[1] is second.tokens[0]
+
+
+def test_corpus_tokens_take_under_five_megabytes(tmp_path):
+    # the seed-1 summarize-mixed corpus, 6,333 sentences: one str per distinct token
+    gen = load_perfbench_gen()
+    paths = gen.workload_files(gen.WORKLOADS["summarize-mixed"], 1, tmp_path)
+    max_sentences = resolve_config(paths["config"]).max_sentences
+    tracemalloc.start()
+    try:
+        report = load_corpus(paths["raw"], max_sentences=max_sentences)
+        n_tokens = sum(len(s.tokens) for doc in report.documents for s in doc.sentences)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.n_sentences == 6333 and n_tokens > 90_000
+    assert held < 5_000_000
 
 
 def test_parse_document_rejects_invalid_json():

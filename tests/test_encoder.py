@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +13,11 @@ from hypothesis import strategies as st
 from helpers import (
     DATA_DIR,
     doc_from_sections,
+    load_perfbench_gen,
     per_token_encode,
     semantic_matrix_bytes,
     sinusoid_rows,
+    write_oracle_summaries,
 )
 from sectsum import autodiff as ad
 from sectsum.autodiff import DimensionError, Tensor
@@ -134,19 +133,10 @@ def test_one_wide_vectors_equal_the_mean_within_rounding():
                                per_token_encode(1, 0, sentences), rtol=0, atol=1e-13)
 
 
-def _load_gen():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture(scope="module")
 def seed1_inputs(tmp_path_factory):
     """Every raw corpus and run.cfg of the seed-1 benchmark workloads, by workload name."""
-    gen = _load_gen()
+    gen = load_perfbench_gen()
     root = tmp_path_factory.mktemp("seed1")
     return {name: gen.workload_files(w, 1, root / name) for name, w in gen.WORKLOADS.items()}
 
@@ -185,6 +175,30 @@ def test_oracle_labels_of_the_benchmark_corpora_keep_their_bytes(seed1_inputs):
                 semantic[f"{name}/{prefix}semantic.f64"] = hashlib.sha256(data).hexdigest()
     assert got == _recorded("labels.sha256")
     assert semantic == _recorded("semantic.sha256")
+
+
+def test_scores_of_the_oracle_extracts_of_the_benchmark_corpora_keep_their_bytes(seed1_inputs):
+    """`evaluate` of each seed-1 corpus's oracle extract (its labelled sentences, no
+    checkpoint, so no BLAS) gives the recorded scores table.  Those extracts score
+    1.000000 throughout, so each labelled sentence's successor is scored too."""
+    got = {}
+    for name, paths in seed1_inputs.items():
+        work = paths["config"].parent / "oracle"
+        work.mkdir()
+        for prefix in ("", "train_"):
+            raw = paths.get(f"{prefix}raw")
+            if raw is not None:
+                cfg = ["--config", str(paths["config"])]
+                corpus, labels = work / f"{prefix}corpus.jsonl", work / f"{prefix}labels.jsonl"
+                assert main(["ingest", *cfg, "--input", str(raw), "--out", str(corpus)]) == 0
+                assert main(["label", *cfg, "--corpus", str(corpus), "--out", str(labels)]) == 0
+                for shift, kind in ((0, "scores"), (1, "shifted_scores")):
+                    summaries, scores = work / f"{prefix}{kind}.jsonl", work / f"{prefix}{kind}.tsv"
+                    write_oracle_summaries(paths["config"], corpus, labels, summaries, shift)
+                    assert main(["evaluate", *cfg, "--summaries", str(summaries),
+                                 "--corpus", str(corpus), "--out", str(scores)]) == 0
+                    got[f"{name}/{scores.name}"] = hashlib.sha256(scores.read_bytes()).hexdigest()
+    assert got == _recorded("scores.sha256")
 
 
 def test_model_encodes_with_the_configured_stub():

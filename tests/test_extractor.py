@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import doc_from_sections
+from helpers import and_overlap, doc_from_sections, slice_ngrams
 from sectsum import autodiff as ad
 from sectsum.autodiff import DimensionError, Linear, Tensor
 from sectsum.extractor import (
@@ -118,6 +118,19 @@ def test_shared_trigrams_multiset_counting():
     # candidate has ("a","b","c") twice; pool holds it twice across a and b
     assert shared_trigrams(cand, _pool([a, b])) == 2
     assert shared_trigrams(cand, _pool([a])) == 1
+
+
+_trigram_words = st.sampled_from(["a", "b", "c", "d"])
+
+
+@given(st.lists(st.lists(_trigram_words, max_size=10).map(" ".join), min_size=1, max_size=5))
+@settings(max_examples=200)
+def test_shared_trigrams_equal_the_intersection_of_slice_counts(texts):
+    cand, *accepted = _sentences(*texts)
+    pool = _pool(accepted)
+    got = shared_trigrams(cand, pool)
+    assert type(got) is int
+    assert got == and_overlap(slice_ngrams(cand.tokens, 3), pool)
 
 
 # ---------------------------------------------------------------------------

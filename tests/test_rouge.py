@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import doc_from_sections, running_extract_oracle_labels
+from helpers import doc_from_sections, running_extract_oracle_labels, slice_ngrams, slice_rouge_n
 from sectsum.extractor import selection_budget
 from sectsum.rouge import (
     ZERO_SCORE,
@@ -54,6 +54,22 @@ def test_ngrams_order_longer_than_sequence():
 def test_ngrams_total_count(tokens, n):
     total = sum(ngrams(tokens, n).values())
     assert total == max(0, len(tokens) - n + 1)
+
+
+@given(st.lists(words, max_size=8), st.integers(min_value=1, max_value=4), st.booleans())
+@settings(max_examples=200)
+def test_ngrams_equal_the_slice_counts(tokens, n, as_tuple):
+    # sequences shorter than n included; keys, counts and key order all equal
+    seq = tuple(tokens) if as_tuple else tokens
+    got = ngrams(seq, n)
+    assert list(got.items()) == list(slice_ngrams(seq, n).items())
+    assert all(type(g) is tuple for g in got)
+
+
+def test_ngrams_reject_orders_below_one():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            ngrams(["a", "b"], n)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +172,13 @@ def test_lcs_length_fixtures():
     assert _lcs_length(["a", "b", "c", "d"], ["a", "c", "b", "d"]) == 3
     assert _lcs_length(["x"] * 70, ["x"] * 65) == 65
     assert _lcs_length(list("abcabba"), list("cbabac")) == 4
+
+
+@given(st.lists(words, max_size=30), st.lists(words, max_size=30), st.integers(min_value=1, max_value=4))
+@settings(max_examples=200)
+def test_rouge_n_equals_the_slice_and_intersection_scores(cand, ref, n):
+    # exact floats: the clipped overlap and both totals are the same integers
+    assert rouge_n(cand, ref, n) == slice_rouge_n(cand, ref, n)
 
 
 @given(token_lists, token_lists, st.integers(min_value=1, max_value=2))
