@@ -12,6 +12,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import os
+import pickle
+import signal
 import sys
 from pathlib import Path
 
@@ -41,6 +44,10 @@ from .training import TrainingError, train, write_metrics_csv
 log = logging.getLogger(__name__)
 
 _RUN_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig))
+
+
+class WorkerError(RuntimeError):
+    """A worker process ended without returning the results of its documents."""
 
 
 def _shared_flags() -> argparse.ArgumentParser:
@@ -120,6 +127,125 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
+# documents spread over worker processes
+# ---------------------------------------------------------------------------
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork workers."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class _Collector(logging.Handler):
+    """Keeps the log records of one document, flattened so they pickle."""
+
+    def __init__(self):
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+        self.records.append(record)
+
+
+def _run_share(fn, docs, share: list[int]) -> list[tuple]:
+    """(index, failed, result or exception, log records) for each document of the share.
+
+    A failing document does not stop the share; its records are held back, not
+    emitted, so the caller can emit everyone's in document order.
+    """
+    root = logging.getLogger()
+    handlers = root.handlers[:]
+    done = []
+    try:
+        for i in share:
+            collector = _Collector()
+            root.handlers[:] = [collector]
+            try:
+                done.append((i, False, fn(i, docs[i]), collector.records))
+            except Exception as e:
+                done.append((i, True, e, collector.records))
+    finally:
+        root.handlers[:] = handlers
+    return done
+
+
+def _shares(docs, p: int) -> list[list[int]]:
+    """Document indices in p shares of near-equal sentence totals, each in document order.
+
+    Longest documents are placed first, each on the share with the fewest
+    sentences so far (ties to the lower share).
+    """
+    shares: list[list[int]] = [[] for _ in range(p)]
+    loads = [0] * p
+    for i in sorted(range(len(docs)), key=lambda i: (-docs[i].n_sentences, i)):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += docs[i].n_sentences
+    return [sorted(share) for share in shares]
+
+
+def _map_documents(fn, docs) -> list:
+    """`[fn(i, doc) for i, doc in enumerate(docs)]`, spread over the usable CPUs.
+
+    P = min(usable CPUs, documents) processes take near-equal shares of the
+    sentences, longest documents placed first.  P - 1 forked children each send
+    their share's results, exceptions and log records back through a pipe; the
+    parent works through share 0, then re-emits every log record and returns
+    the results in document order, or raises the failure of the first failing
+    document, as the serial loop would.  A child that fails to send its results
+    (it died, or an exception would not pickle) fails the call with a
+    WorkerError, and no child outlives it.  At P = 1 this is the serial loop
+    itself.
+    """
+    p = min(_usable_cpus(), len(docs))
+    if p <= 1:
+        return [fn(i, doc) for i, doc in enumerate(docs)]
+    shares = _shares(docs, p)
+    children = {}  # pid -> read end of its pipe
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child never returns from here
+                code = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(_run_share(fn, docs, share), pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children[pid] = open(read_fd, "rb")
+        done = _run_share(fn, docs, shares[0])
+        for pid, pipe in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]  # reaped
+            if status != 0:
+                how = f"was killed by signal {-status}" if status < 0 else f"exited {status}"
+                raise WorkerError(f"a worker process {how} before returning its documents' results")
+            done.extend(pickle.loads(data))
+    finally:
+        for pid, pipe in children.items():  # not reaped yet, so the pid is still theirs
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = []
+    for _i, failed, value, records in sorted(done, key=lambda item: item[0]):
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+        if failed:
+            raise value
+        results.append(value)
+    return results
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
@@ -163,12 +289,14 @@ def _load_corpus_strict(path: Path, cfg: RunConfig, what: str):
 
 def cmd_label(args, cfg: RunConfig) -> int:
     docs = _load_corpus_strict(args.corpus, cfg, "corpus")
-    rows = []
-    for i, doc in enumerate(docs, start=1):
+
+    def label(i, doc):
         labels = oracle_labels(doc, selection_budget(doc.n_sentences, cfg.budget_ratio))
-        rows.append((doc.id, labels.tolist()))
-        if i % 25 == 0 or i == len(docs):
-            log.info("labeled %d/%d documents", i, len(docs))
+        if (i + 1) % 25 == 0 or i + 1 == len(docs):
+            log.info("labeled %d/%d documents", i + 1, len(docs))
+        return doc.id, labels.tolist()
+
+    rows = _map_documents(label, docs)
     write_labels(
         rows, args.out, header={"config_hash": model_hash(cfg), "budget_ratio": cfg.budget_ratio}
     )
@@ -213,22 +341,21 @@ def cmd_summarize(args, cfg: RunConfig) -> int:
     model.load_state(arrays)
     docs = _load_corpus_strict(args.corpus, cfg, "corpus")
 
-    def records():
-        for doc in sorted(docs, key=lambda d: d.id):
-            scores = model.forward(doc)
-            if not np.isfinite(scores.values).all():
-                raise ValueError(f"doc {doc.id}: non-finite sentence scores from checkpoint {args.checkpoint}")
-            picked = select_sentences(doc, scores, cfg)
-            sentences = doc.sentences
-            yield {
-                "id": doc.id,
-                "selected": picked,
-                "sentences": [sentences[i].text for i in picked],
-                "scores": [round(float(scores.values[i]), 6) for i in picked],
-            }
+    def summarize(_i, doc):
+        scores = model.forward(doc)
+        if not np.isfinite(scores.values).all():
+            raise ValueError(f"doc {doc.id}: non-finite sentence scores from checkpoint {args.checkpoint}")
+        picked = select_sentences(doc, scores, cfg)
+        sentences = doc.sentences
+        return {
+            "id": doc.id,
+            "selected": picked,
+            "sentences": [sentences[i].text for i in picked],
+            "scores": [round(float(scores.values[i]), 6) for i in picked],
+        }
 
-    with ad.no_grad():
-        rows = list(records())  # every document is scored before --out is opened
+    with ad.no_grad():  # every document is scored before --out is opened
+        rows = _map_documents(summarize, sorted(docs, key=lambda d: d.id))
     write_summaries(rows, args.out, model.hash)
     print(f"summarize: wrote {len(docs)} summaries to {args.out}")
     return 0
@@ -320,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with np.errstate(all="ignore"):
             return _COMMANDS[args.command](args, _config_from_args(args))
-    except (TrainingError, ValueError) as e:
+    except (TrainingError, WorkerError, ValueError) as e:
         print(f"sectsum {args.command}: {e}", file=sys.stderr)
         return 1
     except OSError as e:

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import RunConfig
-from .corpus import Document, Sentence
+from .corpus import Document
 from .rouge import clipped_overlap, ngrams
 
 
@@ -64,13 +64,13 @@ def predict_scores(
     return SentenceScores(ad.reshape(ad.sigmoid(logits), (shape[0],)))
 
 
-def shared_trigrams(candidate: Sentence, pool: Counter) -> int:
-    """Candidate trigram occurrences already present in `pool`.
+def shared_trigrams(trigrams: Counter, pool: Counter) -> int:
+    """Occurrences of a candidate's `trigrams` (its `ngrams(tokens, 3)`) already present in `pool`.
 
     `pool` is the summed trigram bag of the sentences selected so far;
     multiset semantics both ways, so the overlap is the intersection size.
     """
-    return clipped_overlap(ngrams(candidate.tokens, 3), pool)
+    return clipped_overlap(trigrams, pool)
 
 
 def selection_budget(n_sentences: int, budget_ratio: float) -> int:
@@ -98,8 +98,9 @@ def select_sentences(doc: Document, scores: SentenceScores | np.ndarray, cfg: Ru
         if len(accepted) >= budget:
             break
         if cfg.trigram_threshold is not None:
-            if shared_trigrams(sentences[i], pool) > cfg.trigram_threshold:
+            trigrams = ngrams(sentences[i].tokens, 3)
+            if shared_trigrams(trigrams, pool) > cfg.trigram_threshold:
                 continue
-            pool.update(ngrams(sentences[i].tokens, 3))
+            pool.update(trigrams)
         accepted.append(i)
     return sorted(accepted)

@@ -21,6 +21,7 @@ from sectsum.autodiff import Tensor
 from sectsum.cli import _config_from_args, build_parser, main
 from sectsum.checkpoint import load_checkpoint, save_checkpoint
 from sectsum.config import RunConfig, model_hash, resolve_config
+from sectsum import cli as cli_module
 from sectsum import corpus as corpus_module
 from sectsum.corpus import read_labels, serialize_document, tokenize, write_summaries
 
@@ -380,6 +381,8 @@ def test_ingest_and_evaluate_never_tokenize_a_sentence(tmp_path, capsys, cfg_fil
     assert main(["evaluate", *cfg, "--summaries", str(summaries), "--corpus", str(corpus),
                  "--out", str(tmp_path / "scores.tsv")]) == 0
     assert calls == []
+    # the spy counts calls in this process only, so label runs here alone
+    monkeypatch.setattr(cli_module, "_usable_cpus", lambda: 1)
     assert main(["label", *cfg, "--corpus", str(corpus), "--out", str(tmp_path / "labels.jsonl")]) == 0
     assert len(calls) == sum(d.n_sentences for d in docs)  # label reads each sentence's tokens once
 

@@ -103,21 +103,21 @@ def _pool(sentences):
 
 def test_shared_trigrams_fixture():
     cand, sel = _sentences("the quick brown fox jumps", "the quick brown dog")
-    assert shared_trigrams(cand, _pool([sel])) == 1  # only ("the","quick","brown")
+    assert shared_trigrams(ngrams(cand.tokens, 3), _pool([sel])) == 1  # only ("the","quick","brown")
 
 
 def test_shared_trigrams_empty_and_short():
     cand, other = _sentences("one two", "one two three four")
-    assert shared_trigrams(cand, _pool([other])) == 0  # fewer than 3 tokens
+    assert shared_trigrams(ngrams(cand.tokens, 3), _pool([other])) == 0  # fewer than 3 tokens
     long_cand, _ = _sentences("one two three", "spare")
-    assert shared_trigrams(long_cand, _pool([])) == 0  # nothing selected yet
+    assert shared_trigrams(ngrams(long_cand.tokens, 3), _pool([])) == 0  # nothing selected yet
 
 
 def test_shared_trigrams_multiset_counting():
     cand, a, b = _sentences("a b c a b c x", "a b c", "a b c")
     # candidate has ("a","b","c") twice; pool holds it twice across a and b
-    assert shared_trigrams(cand, _pool([a, b])) == 2
-    assert shared_trigrams(cand, _pool([a])) == 1
+    assert shared_trigrams(ngrams(cand.tokens, 3), _pool([a, b])) == 2
+    assert shared_trigrams(ngrams(cand.tokens, 3), _pool([a])) == 1
 
 
 _trigram_words = st.sampled_from(["a", "b", "c", "d"])
@@ -128,7 +128,7 @@ _trigram_words = st.sampled_from(["a", "b", "c", "d"])
 def test_shared_trigrams_equal_the_intersection_of_slice_counts(texts):
     cand, *accepted = _sentences(*texts)
     pool = _pool(accepted)
-    got = shared_trigrams(cand, pool)
+    got = shared_trigrams(ngrams(cand.tokens, 3), pool)
     assert type(got) is int
     assert got == and_overlap(slice_ngrams(cand.tokens, 3), pool)
 
@@ -244,4 +244,4 @@ def test_select_invariants(n, ratio, seed):
         # whatever was accepted respects the pairwise pool constraint in order
         for idx, i in enumerate(got_order := sorted(got, key=lambda i: (-scores[i], i))):
             accepted = [doc.sentences[j] for j in got_order[:idx]]
-            assert shared_trigrams(doc.sentences[i], _pool(accepted)) <= threshold
+            assert shared_trigrams(ngrams(doc.sentences[i].tokens, 3), _pool(accepted)) <= threshold
