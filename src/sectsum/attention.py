@@ -37,6 +37,14 @@ hidden layer and rebuilds the ReLU mask as ``hidden > 0``.  Under
 :func:`~sectsum.autodiff.no_grad` nothing is saved for backward, so only one
 head's intermediates are alive at a time.
 
+The heads of a sublayer are independent until they are merged, so while
+`train` runs, :func:`sectsum.workers.split_heads` may hand the upper half of
+them to a forked worker process (see ``_head_worker``).  Both processes run
+:func:`_head_forward` and :func:`_head_backward` on the same operands; the
+worker returns each projection's gradients unsummed, and
+:func:`_attention_backward` adds them in the serial order, so the split keeps
+every bit, and this process holds no saved state of the worker's heads.
+
 :func:`full_attention_reference` is a dense O(n²) form written out on its
 own, the oracle in tests and the quadratic baseline in benchmarks.
 """
@@ -360,6 +368,15 @@ def _plus(total: np.ndarray | None, d: np.ndarray) -> np.ndarray:
     return d if total is None else total + d
 
 
+def _projections(head: HeadParams) -> tuple[ad.Linear, ...]:
+    """A head's projections in the order its backward routes them."""
+    return (head.query, head.key, head.value, head.global_query, head.global_key, head.global_value)
+
+
+def _inv_sqrt_d(params: AttentionParams) -> float:
+    return 1.0 / math.sqrt(params.heads[0].query.out_features)
+
+
 def _head_forward(x: np.ndarray, head: HeadParams, layout: BandLayout, inv_sqrt_d: float, keep: bool):
     """One head's projections, band and global rows: its output and, when
     `keep`, the state its backward reads (else None, and each part is freed
@@ -380,42 +397,64 @@ def _head_forward(x: np.ndarray, head: HeadParams, layout: BandLayout, inv_sqrt_
     return out, (q_wt, k_wt, v_wt, band, (rows, x_glob, qg_wt, kg_wt, vg_wt)) if keep else None
 
 
-def _head_backward(
-    g: np.ndarray, x: np.ndarray, head: HeadParams, state: tuple, layout: BandLayout, inv_sqrt_d: float,
-    dx: np.ndarray | None,
-) -> np.ndarray:
-    """Route one head's parameter gradients; return `dx` plus the head's input
-    gradient, added one projection at a time: query, key, value, then the
-    gathered global rows, the global keys and the global values."""
+def _head_backward(g: np.ndarray, x: np.ndarray, state: tuple, layout: BandLayout, inv_sqrt_d: float):
+    """One head's gradients, one projection at a time in :func:`_projections`
+    order (the global three only with global rows): yields its (bias, weight,
+    input contribution).  The global query's contribution is its gathered rows
+    put in place.  Lazy, so only one projection's gradients are alive at once."""
     q_wt, k_wt, v_wt, band, global_state = state
     if global_state is not None:
         rows, x_glob, qg_wt, kg_wt, vg_wt = global_state
         g, dqg, dkg, dvg = _global_rows_backward(g, rows, layout, inv_sqrt_d)
     dq, dk, dv = _band_backward(g, band, layout)
-    dx = _plus(dx, ad.linear_backward(dq * inv_sqrt_d, x, q_wt, head.query))
-    dx = _plus(dx, ad.linear_backward(dk, x, k_wt, head.key))
-    dx = _plus(dx, ad.linear_backward(dv, x, v_wt, head.value))
+    yield ad.linear_grads(dq * inv_sqrt_d, x, q_wt)
+    yield ad.linear_grads(dk, x, k_wt)
+    yield ad.linear_grads(dv, x, v_wt)
     if global_state is not None:
+        d_bias, d_weight, d_rows = ad.linear_grads(dqg, x_glob, qg_wt)
         gathered = np.zeros_like(x)
-        np.add.at(gathered, layout.glob, ad.linear_backward(dqg, x_glob, qg_wt, head.global_query))
-        dx = _plus(dx, gathered)
-        dx = _plus(dx, ad.linear_backward(dkg, x, kg_wt, head.global_key))
-        dx = _plus(dx, ad.linear_backward(dvg, x, vg_wt, head.global_value))
+        np.add.at(gathered, layout.glob, d_rows)
+        yield d_bias, d_weight, gathered
+        yield ad.linear_grads(dkg, x, kg_wt)
+        yield ad.linear_grads(dvg, x, vg_wt)
+
+
+def _route(head: HeadParams, grads, dx: np.ndarray | None) -> np.ndarray:
+    """Add a head's parameter gradients into the sweep, and its input
+    contributions to `dx` one at a time."""
+    for lin, (d_bias, d_weight, contribution) in zip(_projections(head), grads):
+        ad._accumulate(lin.bias, d_bias)
+        ad._accumulate(lin.weight, d_weight)
+        dx = _plus(dx, contribution)
     return dx
+
+
+# The head worker of a running `train` (a workers.HeadWorker, set and cleared
+# by workers.split_heads), else None.  Like autodiff's recording switch it is
+# process state: the sublayers it knows run heads [H/2, H) in its process.
+_head_worker = None
 
 
 def _attention_forward(x: np.ndarray, layout: BandLayout, params: AttentionParams, keep: bool):
     """The sparse attention sublayer on arrays: its output and, when `keep`,
-    the state :func:`_attention_backward` reads (else None)."""
-    inv_sqrt_d = 1.0 / math.sqrt(params.heads[0].query.out_features)
+    the state :func:`_attention_backward` reads (else None).
+
+    With a head worker that knows this sublayer, the worker runs the upper
+    half of the heads while this process runs the lower half, on the same
+    operands, so the merged heads keep their bits.
+    """
+    inv_sqrt_d = _inv_sqrt_d(params)
+    remote = None if _head_worker is None else _head_worker.forward(x, layout, params, keep)
     per_head, heads_state = [], []
-    for head in params.heads:
+    for head in params.heads if remote is None else params.heads[:remote.first]:
         out, state = _head_forward(x, head, layout, inv_sqrt_d, keep)
         per_head.append(out)
         heads_state.append(state)
+    if remote is not None:
+        per_head.extend(remote.outputs())
     merged = per_head[0] if len(per_head) == 1 else np.concatenate(per_head, axis=1)
     projected, out_wt = ad.linear_forward(merged, params.output)
-    state = (x, merged, out_wt, heads_state, inv_sqrt_d) if keep else None
+    state = (x, merged, out_wt, heads_state, inv_sqrt_d, remote) if keep else None
     return projected * layout.valid_col, state
 
 
@@ -428,14 +467,20 @@ def _attention_backward(
     op-by-op graph's sweep summed it, heads ascending (see
     :func:`_head_backward`), as floating-point addition does not associate;
     summing a head's contributions first changes bits.  A `dx` of None takes
-    the first contribution as is.
+    the first contribution as is; that is a head of this process, so no
+    contribution the worker shares is kept.
     """
-    x, merged, out_wt, heads_state, inv_sqrt_d = state
+    x, merged, out_wt, heads_state, inv_sqrt_d, remote = state
     g_merged = ad.linear_backward(g * layout.valid_col, merged, out_wt, params.output)
+    if remote is not None:
+        remote.backward(g_merged)
     d_head = g_merged.shape[1] // len(params.heads)
     for h, (head, head_state) in enumerate(zip(params.heads, heads_state)):
         g_head = g_merged[:, h * d_head:(h + 1) * d_head]
-        dx = _head_backward(g_head, x, head, head_state, layout, inv_sqrt_d, dx)
+        dx = _route(head, _head_backward(g_head, x, head_state, layout, inv_sqrt_d), dx)
+    if remote is not None:
+        for head, grads in zip(params.heads[remote.first:], remote.gradients()):
+            dx = _route(head, grads, dx)
     return dx
 
 

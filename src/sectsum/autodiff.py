@@ -477,12 +477,18 @@ def linear_forward(x: np.ndarray, layer: Linear) -> tuple[np.ndarray, np.ndarray
     return x @ wt + layer.bias.data, wt
 
 
+def linear_grads(g: np.ndarray, x: np.ndarray, wt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bias, weight and input gradients of :func:`linear_forward`."""
+    return g.sum(axis=0), (x.T @ g).T, g @ wt.T
+
+
 def linear_backward(g: np.ndarray, x: np.ndarray, wt: np.ndarray, layer: Linear) -> np.ndarray:
     """Add the bias and weight gradients of :func:`linear_forward` into the
     running sweep; return the input gradient."""
-    _accumulate(layer.bias, g.sum(axis=0))
-    _accumulate(layer.weight, (x.T @ g).T)
-    return g @ wt.T
+    d_bias, d_weight, dx = linear_grads(g, x, wt)
+    _accumulate(layer.bias, d_bias)
+    _accumulate(layer.weight, d_weight)
+    return dx
 
 
 def linear(x, layer: Linear) -> Tensor:

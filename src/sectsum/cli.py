@@ -40,14 +40,11 @@ from .extractor import select_sentences, selection_budget
 from .model import Model
 from .rouge import oracle_labels, rouge_l, rouge_n
 from .training import TrainingError, train, write_metrics_csv
+from .workers import WorkerError, _usable_cpus
 
 log = logging.getLogger(__name__)
 
 _RUN_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig))
-
-
-class WorkerError(RuntimeError):
-    """A worker process ended without returning the results of its documents."""
 
 
 def _shared_flags() -> argparse.ArgumentParser:
@@ -129,13 +126,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 # documents spread over worker processes
 # ---------------------------------------------------------------------------
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork workers."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
 
 
 class _Collector(logging.Handler):

@@ -7,16 +7,20 @@ random content is drawn from `stable_seed`-derived generators.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
 import json
 import math
+import os
+import signal
 import sys
 from bisect import bisect_left, insort
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sectsum import autodiff as ad
 from sectsum.attention import NEG_INF
@@ -451,3 +455,24 @@ def running_extract_oracle_labels(doc: Document, budget: int) -> np.ndarray:
         chosen += 1
         best_score += best_gain
     return labels
+
+
+def assert_no_children() -> None:
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail, rather than hang, if the block runs past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

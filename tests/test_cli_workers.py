@@ -7,7 +7,6 @@ loop), 2 and 3 (more processes than this machine may have CPUs is fine).
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import logging
 import os
@@ -17,7 +16,14 @@ import time
 
 import pytest
 
-from helpers import DATA_DIR, doc_from_sections, load_perfbench_gen, write_corpus_jsonl
+from helpers import (
+    DATA_DIR,
+    assert_no_children,
+    deadline,
+    doc_from_sections,
+    load_perfbench_gen,
+    write_corpus_jsonl,
+)
 from sectsum import cli as cli_module
 from sectsum.autodiff import Tensor
 from sectsum.checkpoint import save_checkpoint
@@ -44,26 +50,6 @@ WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
 
 def _processes(monkeypatch, count: int) -> None:
     monkeypatch.setattr(cli_module, "_usable_cpus", lambda: count)
-
-
-def _assert_no_children() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@contextlib.contextmanager
-def _deadline(seconds: int):
-    """Fail, rather than hang, if the block runs past `seconds`."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _corpus(tmp_path, sizes, empty_refs=()) -> tuple:
@@ -119,7 +105,7 @@ def test_labels_and_summaries_are_byte_identical_at_every_count(seed1_corpora, w
         assert main(["label", *common, "--out", str(labels)]) == 0
         assert main(["summarize", *common, "--checkpoint", str(ckpt), "--out", str(summaries)]) == 0
         outputs[count] = (labels.read_bytes(), summaries.read_bytes())
-        _assert_no_children()
+        assert_no_children()
     assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
     assert hashlib.sha256(outputs[1][0]).hexdigest() == recorded[f"{workload}/labels.jsonl"]
 
@@ -147,7 +133,7 @@ def test_a_diverged_checkpoint_is_refused_naming_the_first_document(tmp_path, ca
     assert capsys.readouterr().err.splitlines() == [
         f"sectsum summarize: doc d0: non-finite sentence scores from checkpoint {ckpt}"]
     assert not out.exists()
-    _assert_no_children()
+    assert_no_children()
 
 
 @pytest.mark.parametrize("count", COUNTS)
@@ -168,7 +154,7 @@ def test_empty_reference_warnings_arrive_in_document_order(tmp_path, capsys, cap
     expected = [f"doc d{d}: empty reference summary, oracle labels all zero" for d in (1, 2, 4, 5)]
     assert [r.getMessage() for r in caplog.records] == expected
     assert capsys.readouterr().err.splitlines() == [f"WARNING sectsum.rouge: {m}" for m in expected]
-    _assert_no_children()
+    assert_no_children()
 
 
 @pytest.mark.parametrize("count", COUNTS)
@@ -184,7 +170,7 @@ def test_an_exception_in_the_parents_share_leaves_no_child(monkeypatch, count):
     _processes(monkeypatch, count)
     with pytest.raises(RuntimeError, match="parent failed on d"):
         _map_documents(fn, docs)
-    _assert_no_children()
+    assert_no_children()
 
 
 @pytest.mark.parametrize("count", [2, 3])
@@ -199,10 +185,10 @@ def test_an_interrupt_in_the_parent_kills_and_reaps_busy_children(monkeypatch, c
 
     _processes(monkeypatch, count)
     start = time.monotonic()
-    with _deadline(30), pytest.raises(KeyboardInterrupt):
+    with deadline(30), pytest.raises(KeyboardInterrupt):
         _map_documents(fn, docs)
     assert time.monotonic() - start < 10
-    _assert_no_children()
+    assert_no_children()
 
 
 @pytest.mark.parametrize("count", [2, 3])
@@ -221,13 +207,13 @@ def test_a_child_killed_by_sigkill_fails_the_command_and_never_hangs(tmp_path, c
     _processes(monkeypatch, count)
     out = tmp_path / "labels.jsonl"
     capsys.readouterr()
-    with _deadline(60):
+    with deadline(60):
         assert main(["label", "--config", str(cfg), "--corpus", str(corpus), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["sectsum label: a worker process was killed by signal 9 before returning its "
                    "documents' results"]
     assert not out.exists()
-    _assert_no_children()
+    assert_no_children()
 
 
 def test_one_process_is_the_serial_loop_and_forks_nothing(monkeypatch):
