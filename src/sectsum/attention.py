@@ -413,7 +413,7 @@ def _head_backward(g: np.ndarray, x: np.ndarray, state: tuple, layout: BandLayou
     if global_state is not None:
         d_bias, d_weight, d_rows = ad.linear_grads(dqg, x_glob, qg_wt)
         gathered = np.zeros_like(x)
-        np.add.at(gathered, layout.glob, d_rows)
+        gathered[layout.glob] += d_rows  # global rows are unique, so each entry is 0.0 + d (-0.0 lands as 0.0)
         yield d_bias, d_weight, gathered
         yield ad.linear_grads(dkg, x, kg_wt)
         yield ad.linear_grads(dvg, x, vg_wt)

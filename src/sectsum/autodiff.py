@@ -11,6 +11,13 @@ Gradients accumulate in ``.grad`` until explicitly cleared, so two backward
 calls on the same graph double every leaf gradient.  Graphs are rebuilt on
 every forward pass.
 
+A model's parameters live in a :class:`ParamStore`: one float64 vector holds
+every parameter's values and another their gradients, and each tensor's
+``.data`` and ``grad_view`` are views into them.  The sweep copies a
+parameter's first gradient into its ``grad_view``, which ``.grad`` then is,
+and adds later ones in place, so an update is a few passes over the whole
+vectors.  A sweep that raises may leave part of its gradients there.
+
 Everything is float64 on purpose: the engine is meant for desk-scale models
 whose correctness is checked against central finite differences, and the
 extra precision keeps those comparisons honest.
@@ -27,7 +34,11 @@ keeping state for its backward, so that under :func:`no_grad` it keeps none.
 A backward must not write into the gradient it receives, nor into any array
 it has handed to ``_accumulate``: the first gradient a tensor receives is
 stored as is, not copied, so another node may still read it.  Arrays it
-allocates itself it may fill in place before handing them on.
+allocates itself it may fill in place before handing them on.  The other
+side of that contract: a store's update writes every parameter's ``.data``
+in place, so a graph still alive at an update would see the new values
+wherever it kept a parameter's array rather than a copy.  Free the graph
+(drop the loss) before updating, as ``training.train`` does.
 
 The engine is not re-entrant: whether ops record (``_grad_enabled``) and the
 gradients of the running sweep (``_pass_grads``) are module globals, so two
@@ -71,11 +82,14 @@ def no_grad():
 class Tensor:
     """A numpy float64 array plus the bookkeeping needed for backprop."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "grad_view", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.array(data, dtype=np.float64, copy=True)
         self.grad: np.ndarray | None = None
+        # a parameter's place in its ParamStore's gradient vector, which
+        # .grad becomes on its first gradient; None outside a store
+        self.grad_view: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -121,6 +135,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.nd
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out.grad_view = None
     out.requires_grad = False
     out._parents = ()
     out._backward = None
@@ -135,7 +150,10 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.nd
 # buffer (id(tensor) -> (tensor, grad)) instead of the persistent .grad
 # fields.  An op's entry is popped when its backward runs; only graph leaves
 # have the pass result added into .grad at the end, so repeated backward
-# calls accumulate exactly one dLoss/dLeaf each.
+# calls accumulate exactly one dLoss/dLeaf each.  A store parameter whose
+# .grad is None takes its gradients in its place as they come instead (its
+# entry holds None), with the same additions in the same order, so no leaf
+# gradient waits in the buffer for the end of the sweep.
 # _accumulate runs only inside the closures a sweep calls, so it is always set.
 _pass_grads: dict[int, tuple["Tensor", np.ndarray]] | None = None
 
@@ -145,9 +163,17 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         return
     entry = _pass_grads.get(id(t))
     if entry is None:
-        # stored as is, unless a strided view: BLAS may round one differently
-        # from the dense copy every later matmul saw before this was dropped
-        _pass_grads[id(t)] = (t, g if g.flags.forc else np.array(g, copy=True))
+        if t.grad is None and t.grad_view is not None:
+            # a store parameter's first gradient since zero_grads goes to its place at once
+            np.copyto(t.grad_view, g)
+            t.grad = t.grad_view
+            _pass_grads[id(t)] = (t, None)
+        else:
+            # stored as is, unless a strided view: BLAS may round one differently
+            # from the dense copy every later matmul saw before this was dropped
+            _pass_grads[id(t)] = (t, g if g.flags.forc else np.array(g, copy=True))
+    elif entry[1] is None:
+        t.grad += g
     else:
         _pass_grads[id(t)] = (t, entry[1] + g)
 
@@ -569,9 +595,14 @@ def backward(out: Tensor) -> None:
     finally:
         pass_grads, _pass_grads = _pass_grads, None
 
-    # what is left are the leaves' entries
+    # what is left are the leaves' entries, None for a store parameter's, added already
     for node, g in pass_grads.values():
-        node.grad = g.copy() if node.grad is None else node.grad + g
+        if g is None:
+            continue
+        if node.grad is None:
+            node.grad = g.copy()
+        else:
+            node.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +619,67 @@ def init_linear(rng: np.random.Generator, n_out: int, n_in: int) -> Linear:
     return Linear(init_param(rng, (n_out, n_in)), init_param(rng, (n_out,)))
 
 
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for t in params:
-        t.grad = None
+# The norm squares at most this many floats (128 KiB) at a time where rows
+# allow: a transient that stays in cache and below malloc's mmap threshold, so
+# it is not paged in afresh on every update (~0.15 ms of a ~0.6 ms norm).
+_NORM_CHUNK = 16384
+
+
+class ParamStore:
+    """Every parameter's data in one float64 vector and its gradient in another.
+
+    Each tensor's ``.data`` becomes a C-contiguous view into :attr:`data` and
+    its ``grad_view`` one into :attr:`grad`, so an update is a few passes over
+    whole vectors.  Tensors of one size sit side by side, so the norm squares
+    and sums a block of them at a time.  A tensor's gradient is zero wherever
+    its ``.grad`` is None, which :meth:`zero_grads` keeps; the gradient
+    vector is ``np.zeros``, whose pages stay untouched until a backward
+    writes them.
+    """
+
+    def __init__(self, tensors: Iterable[Tensor]):
+        self.tensors = list(tensors)
+        by_size: dict[int, list[int]] = {}
+        for i, t in enumerate(self.tensors):
+            by_size.setdefault(t.data.size, []).append(i)
+        total = sum(t.data.size for t in self.tensors)
+        self.data = np.empty(total)
+        self.grad = np.zeros(total)
+        # gradient blocks of same-size tensors, one row each, of at most
+        # _NORM_CHUNK floats where rows allow, and the rows' positions in `tensors`
+        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        start = 0
+        for size, members in by_size.items():
+            rows = max(1, _NORM_CHUNK // size)
+            for chunk in (members[r:r + rows] for r in range(0, len(members), rows)):
+                self._blocks.append((self.grad[start:start + size * len(chunk)].reshape(len(chunk), size),
+                                     np.array(chunk)))
+                for i in chunk:
+                    t = self.tensors[i]
+                    view = self.data[start:start + size].reshape(t.data.shape)
+                    view[...] = t.data
+                    t.data, t.grad = view, None
+                    t.grad_view = self.grad[start:start + size].reshape(view.shape)
+                    start += size
+
+    def grad_norm(self) -> float:
+        """Global L2 norm of the gradients: each tensor's sum of squares,
+        added one at a time in tensor order."""
+        sums = np.empty(len(self.tensors))
+        for block, members in self._blocks:
+            sums[members] = (block * block).sum(axis=1)  # one row's sum is its tensor's (g*g).sum()
+        total = 0.0
+        for s in sums.tolist():  # not sum(): from Python 3.12 it adds floats with compensation
+            total += s
+        return math.sqrt(total)
+
+    def zero_grads(self) -> None:
+        """Set every ``.grad`` to None and the gradient vector to zero; a
+        vector no tensor holds a gradient in is already zero and left alone."""
+        if any(t.grad is not None for t in self.tensors):
+            self.grad.fill(0.0)
+        for t in self.tensors:
+            t.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -631,11 +720,3 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> flo
     rel = np.abs(analytic - numeric) / denom
     x.grad = None
     return float(rel.max()) if rel.size else 0.0
-
-
-def global_grad_norm(params: Iterable[Tensor]) -> float:
-    total = 0.0
-    for t in params:
-        if t.grad is not None:
-            total += float((t.grad * t.grad).sum())
-    return math.sqrt(total)

@@ -13,10 +13,11 @@ as truncation before anything is read.
 
 from __future__ import annotations
 
+import io
 import json
 import math
-import os
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -51,10 +52,11 @@ def save_checkpoint(params: dict[str, Tensor], path: str | Path, *, seed: int, c
             fh.write(data.tobytes())
 
 
-def _read_exact(fh, size: int, what: str) -> bytes:
-    """Read `size` bytes, never asking for more than the file has left."""
+def _read_exact(fh: io.BytesIO, size: int, what: str) -> bytes:
+    """Read `size` bytes: a BytesIO returns at most what it has left, so a
+    claim past the end allocates nothing (it takes counts up to sys.maxsize)."""
     offset = fh.tell()
-    buf = fh.read(min(size, os.fstat(fh.fileno()).st_size - offset))
+    buf = fh.read(min(size, sys.maxsize))
     if len(buf) != size:
         raise CheckpointError(
             f"corrupt checkpoint: truncated {what} at byte offset {offset} "
@@ -65,7 +67,8 @@ def _read_exact(fh, size: int, what: str) -> bytes:
 
 def load_checkpoint(path: str | Path, *, expected_hash: str | None = None) -> tuple[dict[str, np.ndarray], dict]:
     """Read all parameter tensors plus the header, verifying version and hash."""
-    with open(path, "rb") as fh:
+    # read once and parsed from memory: a read and an fstat per field cost more than the file
+    with io.BytesIO(Path(path).read_bytes()) as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic {magic!r})")

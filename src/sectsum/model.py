@@ -5,6 +5,12 @@ the CLI all see one flat parameter dict.  Construction order (and therefore
 update order) is fixed, and all randomness flows from the run seed, which is
 what makes two identically-configured training runs bit-identical.
 
+The parameters' values live in one float64 vector and their gradients in
+another (:class:`sectsum.autodiff.ParamStore`, :attr:`Model.store`): each
+tensor's ``.data`` is a view into the first, and a backward adds into its
+view of the second, so `train` updates every parameter in place with a few
+whole-vector passes.  :meth:`Model.load_state` copies into the same views.
+
 A forward pass splits in two: :meth:`Model.plan` does the work that depends
 only on the document and the config (truncation, encoding, the mask, table
 rows), and :meth:`Model.forward` the work that uses parameters.  The planned
@@ -77,6 +83,7 @@ class Model:
         out_width = d if cfg.combine == "sum" else 6 * d
         self.output_layer = ad.init_linear(rng, 1, out_width)
         self._params = self._collect_params()
+        self.store = ad.ParamStore(self._params.values())
 
     # -- parameter registry ------------------------------------------------
     def _collect_params(self) -> dict[str, ad.Tensor]:
@@ -119,10 +126,11 @@ class Model:
         return self._params
 
     def zero_grads(self) -> None:
-        ad.zero_grads(self._params.values())
+        self.store.zero_grads()
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy checkpoint arrays into the live parameters, strictly by name; all or nothing."""
+        """Copy checkpoint arrays into the parameters' places in the store,
+        strictly by name; all or nothing, as every shape is checked first."""
         missing = sorted(set(self._params) - set(arrays))
         extra = sorted(set(arrays) - set(self._params))
         if missing or extra:
@@ -138,8 +146,8 @@ class Model:
                     f"parameter {name}: checkpoint shape {arr.shape} != model shape {tensor.data.shape}"
                 )
         for name, tensor in self._params.items():
-            tensor.data = arrays[name].astype(np.float64, copy=True)
-            tensor.grad = None
+            tensor.data[...] = arrays[name]
+        self.zero_grads()
 
     # -- forward -----------------------------------------------------------
     def global_positions(self, doc: Document) -> list[int]:

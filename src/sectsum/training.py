@@ -8,6 +8,13 @@ reward-weighted cross-entropies over sampled candidate summaries.
 The loop reads its settings from the run's RunConfig (`TrainConfig` is
 another name for it) and the architecture from the model's.
 
+An update works on the model's parameter store (:attr:`Model.store`) in
+place: the global gradient norm (each parameter's sum of squares, added in
+parameter order), one scaling of the gradient vector when the clip fires,
+``grad *= lr`` then ``data -= grad``, and one fill to clear it.  These are
+the roundings the per-tensor ``data - lr * grad`` made, so every output
+keeps its bits.  Each document's graph is freed before the update.
+
 Documents are trained one after another, as each update feeds the next, so
 `train` spreads each attention sublayer instead: with two or more usable
 CPUs and heads, one worker process forked after every plan is built runs the
@@ -100,24 +107,22 @@ def noam_lr(step: int, d_model: int, warmup: int, scale: float = 1.0) -> float:
     return scale * d_model ** -0.5 * min(step ** -0.5, step * warmup ** -1.5)
 
 
-def clip_gradients(params, max_norm: float) -> float:
-    """Global-L2 clip in place; returns the applied scale factor."""
-    tensors = list(params.values() if isinstance(params, dict) else params)
-    norm = ad.global_grad_norm(tensors)
+def clip_gradients(store: ad.ParamStore, max_norm: float) -> float:
+    """Global-L2 clip of the store's gradients in place; returns the applied scale factor."""
+    norm = store.grad_norm()
     if norm <= max_norm or norm == 0.0:
         return 1.0
     factor = max_norm / norm
-    for t in tensors:
-        if t.grad is not None:
-            t.grad = t.grad * factor
+    store.grad *= factor
     return factor
 
 
-def sgd_step(params, lr: float) -> None:
-    tensors = params.values() if isinstance(params, dict) else params
-    for t in tensors:
-        if t.grad is not None:
-            t.data = t.data - lr * t.grad
+def sgd_step(store: ad.ParamStore, lr: float) -> None:
+    """data -= lr * grad over the whole store; it leaves lr * grad in the
+    gradient vector, for ``zero_grads`` to clear.  A parameter with no
+    gradient is updated by ``-= 0.0``, which keeps its bits."""
+    store.grad *= lr
+    store.data -= store.grad
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +212,6 @@ def train(model: Model, dataset: list[LabeledDocument], cfg: RunConfig) -> Train
     if not train_set:
         raise ValueError("train: holdout ratio left no training documents")
     result = TrainResult(holdout_ids=[it.document.id for it in holdout])
-    params = model.parameters()
     d_model = model.cfg.d_model
     epoch_rng = np.random.default_rng(stable_seed(cfg.seed, "epoch-order"))
     # parameter-free inputs, built once and reused by every epoch
@@ -222,10 +226,10 @@ def train(model: Model, dataset: list[LabeledDocument], cfg: RunConfig) -> Train
 
     def apply_update(flush: bool) -> None:
         nonlocal pending, last_lr
-        clip_gradients(params, cfg.clip_norm)
+        clip_gradients(model.store, cfg.clip_norm)
         step = result.updates + 1
         last_lr = noam_lr(step, d_model, cfg.warmup_steps, cfg.lr_scale)
-        sgd_step(params, last_lr)
+        sgd_step(model.store, last_lr)
         model.zero_grads()
         result.updates += 1
         if flush:

@@ -355,6 +355,40 @@ def sinusoid_rows(n: int, d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the per-tensor update that the parameter store's whole-vector passes replaced
+# ---------------------------------------------------------------------------
+# Each reads and rebinds every tensor's own .grad and .data arrays, so a model
+# updated with them no longer reads its store: keep it for the reference side.
+
+
+def global_grad_norm(params) -> float:
+    total = 0.0
+    for t in params:
+        if t.grad is not None:
+            total += float((t.grad * t.grad).sum())
+    return math.sqrt(total)
+
+
+def clip_gradients(params, max_norm: float) -> float:
+    """Global-L2 clip, one new array per tensor; returns the applied scale factor."""
+    tensors = list(params)
+    norm = global_grad_norm(tensors)
+    if norm <= max_norm or norm == 0.0:
+        return 1.0
+    factor = max_norm / norm
+    for t in tensors:
+        if t.grad is not None:
+            t.grad = t.grad * factor
+    return factor
+
+
+def sgd_step(params, lr: float) -> None:
+    for t in params:
+        if t.grad is not None:
+            t.data = t.data - lr * t.grad
+
+
+# ---------------------------------------------------------------------------
 # the per-candidate greedy oracle that the vectorised one replaced
 # ---------------------------------------------------------------------------
 

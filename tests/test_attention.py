@@ -373,6 +373,40 @@ def test_fused_layer_equals_composed_graph_on_edge_cases(n, window, heads, glob)
     _assert_fused_equals_composed(x, mask, params, n)
 
 
+def test_global_query_gradient_lands_on_its_rows_as_np_add_at_put_it(monkeypatch):
+    """The global query's input gradient, put in place at the global rows,
+    has the bits np.add.at into zeros gave it: a -0.0 lands as 0.0 + -0.0."""
+    from sectsum import attention
+
+    rng = np.random.default_rng(11)
+    mask = build_attention_mask([9], 4, [[1, 4, 7]])
+    layout = mask.layout
+    params = _params(rng, 8, 2)
+    x = rng.standard_normal((mask.padded_len, 8))
+    g = rng.standard_normal((mask.padded_len, 4))
+    real, global_rows = ad.linear_grads, []
+
+    def signed_zeros(g_out, x_in, wt):
+        d_bias, d_weight, d_in = real(g_out, x_in, wt)
+        if x_in.shape[0] == layout.glob.size:  # the global query reads only the global rows
+            d_in = d_in.copy()
+            d_in[:, ::2] = -0.0
+            global_rows.append(d_in)
+        return d_bias, d_weight, d_in
+
+    monkeypatch.setattr(ad, "linear_grads", signed_zeros)
+    inv_sqrt_d = attention._inv_sqrt_d(params)
+    _, state = attention._head_forward(x, params.heads[0], layout, inv_sqrt_d, True)
+    grads = list(attention._head_backward(g, x, state, layout, inv_sqrt_d))
+    (d_rows,) = global_rows
+    want = np.zeros_like(x)
+    np.add.at(want, layout.glob, d_rows)
+    placed = np.zeros_like(x)
+    placed[layout.glob] = d_rows
+    assert np.signbit(d_rows).any() and want.tobytes() != placed.tobytes()
+    assert grads[3][2].tobytes() == want.tobytes()
+
+
 def test_layer_node_passes_gradient_checks():
     # four chunks, globals inside other rows' bands, two pad rows: the 1e-4 layer bound of criterion 03
     mask = build_attention_mask([10], 3, [[2, 7]])

@@ -233,11 +233,12 @@ def test_no_grad_blocks_graph_recording():
 def test_zero_grads_and_global_norm():
     a = Tensor([0.0], requires_grad=True)
     b = Tensor([0.0, 0.0], requires_grad=True)
-    a.grad = np.array([3.0])
-    b.grad = np.array([0.0, 4.0])
-    assert ad.global_grad_norm([a, b]) == pytest.approx(5.0)
-    ad.zero_grads([a, b])
+    store = ad.ParamStore([a, b])
+    ad.backward(ad.add(ad.tsum(ad.mul(a, Tensor([3.0]))), ad.tsum(ad.mul(b, Tensor([0.0, 4.0])))))
+    assert store.grad_norm() == pytest.approx(5.0)
+    store.zero_grads()
     assert a.grad is None and b.grad is None
+    assert not store.grad.any()
 
 
 def test_init_param_range_and_determinism():

@@ -199,7 +199,9 @@ def _loss_and_grads(model, doc, labels, reinforced):
     else:
         loss = ce_loss(scores, labels)
     ad.backward(loss)
-    return loss.data.copy(), {name: t.grad for name, t in model.parameters().items()}
+    # copied: a parameter's .grad is its view of the store, which the next backward overwrites
+    return loss.data.copy(), {name: None if t.grad is None else t.grad.copy()
+                              for name, t in model.parameters().items()}
 
 
 # config overrides of _cfg (two layers, window 2, 25% global; four heads here, so the
@@ -277,12 +279,15 @@ def test_load_state_rejects_name_and_shape_mismatches():
 def test_load_state_replaces_nothing_when_a_later_shape_mismatches():
     model = Model(_cfg())
     before = {k: t.data for k, t in model.parameters().items()}
+    values = {k: t.data.tobytes() for k, t in model.parameters().items()}
     arrays = {k: t.data + 1.0 for k, t in model.parameters().items()}
     last = list(arrays)[-1]
     arrays[last] = np.zeros((1, 1))
     with pytest.raises(CheckpointError, match=f"parameter {last}: checkpoint shape"):
         model.load_state(arrays)
     assert all(t.data is before[k] for k, t in model.parameters().items())
+    # load_state copies into the store's views, so the values are what must not move
+    assert all(t.data.tobytes() == values[k] for k, t in model.parameters().items())
 
 
 def test_concat_combine_mode_runs_end_to_end():
@@ -310,7 +315,7 @@ def _scores_and_grads(model: Model, doc, plan=None) -> list:
     scores = model.forward(doc) if plan is None else model.forward(doc, plan)
     labels = [i % 2 for i in range(len(scores))]
     ad.backward(ce_loss(scores, labels))
-    return [scores.values] + [t.grad for t in model.parameters().values()]
+    return [scores.values] + [None if t.grad is None else t.grad.copy() for t in model.parameters().values()]
 
 
 @pytest.mark.parametrize(

@@ -220,31 +220,37 @@ def test_noam_lr_validates_step_and_warmup():
         noam_lr(1, 64, 0)
 
 
+def _store_with_grads(values, grads):
+    """A ParamStore of 1-D tensors holding `values`, given `grads` (None: no
+    gradient) by a backward."""
+    tensors = [ad.Tensor(np.array(v, dtype=float), requires_grad=True) for v in values]
+    store = ad.ParamStore(tensors)
+    terms = [ad.tsum(ad.mul(t, ad.Tensor(g))) for t, g in zip(tensors, grads) if g is not None]
+    if terms:
+        ad.backward(terms[0] if len(terms) == 1 else ad.add(*terms))
+    return store, tensors
+
+
 def test_clip_gradients_rescales_to_max_norm():
-    a = ad.Tensor(np.zeros(1), requires_grad=True)
-    b = ad.Tensor(np.zeros(1), requires_grad=True)
-    a.grad, b.grad = np.array([3.0]), np.array([4.0])
-    factor = clip_gradients({"a": a, "b": b}, 1.0)
+    store, (a, b) = _store_with_grads([[0.0], [0.0]], [[3.0], [4.0]])
+    factor = clip_gradients(store, 1.0)
     assert factor == pytest.approx(0.2, rel=1e-12)
     assert float(a.grad[0]) == pytest.approx(0.6) and float(b.grad[0]) == pytest.approx(0.8)
-    assert ad.global_grad_norm([a, b]) == pytest.approx(1.0, rel=1e-12)
+    assert store.grad_norm() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_clip_gradients_leaves_small_gradients_alone():
-    a = ad.Tensor(np.zeros(2), requires_grad=True)
-    a.grad = np.array([0.1, 0.2])
+    store, (a,) = _store_with_grads([[0.0, 0.0]], [[0.1, 0.2]])
     before = a.grad.copy()
-    assert clip_gradients([a], 1.0) == 1.0
+    assert clip_gradients(store, 1.0) == 1.0
     np.testing.assert_array_equal(a.grad, before)
-    zero = ad.Tensor(np.zeros(2), requires_grad=True)
-    assert clip_gradients([zero], 1.0) == 1.0  # norm 0: no-op, not 0-division
+    zero, _ = _store_with_grads([[0.0, 0.0]], [None])
+    assert clip_gradients(zero, 1.0) == 1.0  # norm 0: no-op, not 0-division
 
 
 def test_sgd_step_applies_lr_and_skips_gradless_tensors():
-    a = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    b = ad.Tensor(np.array([5.0]), requires_grad=True)
-    a.grad = np.array([10.0, -10.0])
-    sgd_step([a, b], lr=0.1)
+    store, (a, b) = _store_with_grads([[1.0, 2.0], [5.0]], [[10.0, -10.0], None])
+    sgd_step(store, lr=0.1)
     np.testing.assert_allclose(a.data, [0.0, 3.0], atol=1e-15)
     np.testing.assert_array_equal(b.data, [5.0])
 
