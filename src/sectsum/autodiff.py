@@ -51,6 +51,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -634,7 +635,9 @@ class ParamStore:
     and sums a block of them at a time.  A tensor's gradient is zero wherever
     its ``.grad`` is None, which :meth:`zero_grads` keeps; the gradient
     vector is ``np.zeros``, whose pages stay untouched until a backward
-    writes them.
+    writes them.  A layer split by :func:`sectsum.workers.split_heads` holds
+    views of a store, as every ``Model``'s do, and :attr:`data` lies in shared
+    memory, so the worker forked after it is built reads every update in place.
     """
 
     def __init__(self, tensors: Iterable[Tensor]):
@@ -643,7 +646,7 @@ class ParamStore:
         for i, t in enumerate(self.tensors):
             by_size.setdefault(t.data.size, []).append(i)
         total = sum(t.data.size for t in self.tensors)
-        self.data = np.empty(total)
+        self.data = np.frombuffer(mmap.mmap(-1, 8 * total)) if total else np.empty(0)
         self.grad = np.zeros(total)
         # gradient blocks of same-size tensors, one row each, of at most
         # _NORM_CHUNK floats where rows allow, and the rows' positions in `tensors`

@@ -14,7 +14,6 @@ import dataclasses
 import logging
 import os
 import pickle
-import signal
 import sys
 from pathlib import Path
 
@@ -40,7 +39,7 @@ from .extractor import select_sentences, selection_budget
 from .model import Model
 from .rouge import oracle_labels, rouge_l, rouge_n
 from .training import TrainingError, train, write_metrics_csv
-from .workers import WorkerError, _usable_cpus
+from .workers import Child, WorkerError, _usable_cpus
 
 log = logging.getLogger(__name__)
 
@@ -162,6 +161,13 @@ def _run_share(fn, docs, share: list[int]) -> list[tuple]:
     return done
 
 
+def _send_share(fn, docs, share: list[int], read_fd: int, write_fd: int) -> None:
+    """A child's body: run its share and send the results down its pipe."""
+    os.close(read_fd)
+    with open(write_fd, "wb") as pipe:
+        pickle.dump(_run_share(fn, docs, share), pipe)
+
+
 def _shares(docs, p: int) -> list[list[int]]:
     """Document indices in p shares of near-equal sentence totals, each in document order.
 
@@ -194,37 +200,24 @@ def _map_documents(fn, docs) -> list:
     if p <= 1:
         return [fn(i, doc) for i, doc in enumerate(docs)]
     shares = _shares(docs, p)
-    children = {}  # pid -> read end of its pipe
+    children = []  # (child, read end of its pipe)
     try:
         for share in shares[1:]:
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the child never returns from here
-                code = 1
-                try:
-                    os.close(read_fd)
-                    with open(write_fd, "wb") as pipe:
-                        pickle.dump(_run_share(fn, docs, share), pipe)
-                    code = 0
-                finally:
-                    os._exit(code)
+            child = Child("a worker process", "its documents' results", _send_share, fn, docs, share,
+                          read_fd, write_fd)
             os.close(write_fd)
-            children[pid] = open(read_fd, "rb")
+            children.append((child, open(read_fd, "rb")))
         done = _run_share(fn, docs, shares[0])
-        for pid, pipe in list(children.items()):
+        for child, pipe in children:
             with pipe:
                 data = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]  # reaped
-            if status != 0:
-                how = f"was killed by signal {-status}" if status < 0 else f"exited {status}"
-                raise WorkerError(f"a worker process {how} before returning its documents' results")
+            child.reap()
             done.extend(pickle.loads(data))
     finally:
-        for pid, pipe in children.items():  # not reaped yet, so the pid is still theirs
+        for child, pipe in children:
             pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            child.kill()
     results = []
     for _i, failed, value, records in sorted(done, key=lambda item: item[0]):
         for record in records:

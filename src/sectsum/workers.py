@@ -1,4 +1,4 @@
-"""Forked worker processes: the CPUs a process may use, and `train`'s head worker.
+"""Forked workers: the CPUs a process may use, one fork lifecycle, and `train`'s head worker.
 
 `cli` spreads the documents of `label` and `summarize` over the usable CPUs.
 `train` cannot split its documents, as each one's update feeds the next, so
@@ -12,23 +12,25 @@ the same operands, so every output and gradient keeps its bits:
 
 - the layer input (forward) and the merged heads' gradient (backward) reach
   the worker as C-contiguous copies, the layout the parent's heads read;
-- the parent copies the worker heads' current weights and biases in on
-  every forward, so the model and its updates stay in the parent alone;
+- the worker reads its heads' weights and biases, updates included, in
+  the parameter store, which it shares with the parent;
 - the worker sends back each head's output, and each projection's bias and
   weight gradients and input contribution, unsummed; the parent adds them
   in the order the serial loop does, heads ascending.
 
 Requests and replies go through one anonymous shared memory block, sized
-for the longest document, with one byte down a pipe each way.  The worker
-keeps each sublayer's backward state from its latest recording forward,
-tagged with a sequence number, and refuses a backward for any other
-forward.  A worker that dies fails the call with a :class:`WorkerError`;
-leaving the ``with`` block, by return or by exception, kills and reaps it.
+for the longest document, with one byte down a pipe each way; a worker's
+error message follows its reply byte.  The worker keeps each sublayer's
+backward state from its latest recording forward, tagged with a sequence
+number, and refuses a backward for any other forward.  Each worker is a
+:class:`Child`: one that dies fails the call with a :class:`WorkerError`,
+and leaving the call, by return or by exception, kills and reaps it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import mmap
 import os
 import signal
 
@@ -49,6 +51,40 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+class Child:
+    """A forked process that runs ``body(*args)``, ignoring SIGINT (the parent
+    decides when it stops), and exits 0 if the body returns, 1 if it raises.
+    `who` and `what` name it and its results in the :class:`WorkerError` of
+    one that ends otherwise; :meth:`kill` it on the way out."""
+
+    def __init__(self, who: str, what: str, body, *args):
+        self._who, self._what = who, what
+        self.pid = os.fork()  # None once reaped
+        if self.pid == 0:  # the child never returns from here
+            code = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                body(*args)
+                code = 0
+            finally:
+                os._exit(code)
+
+    def reap(self) -> None:
+        """Wait for the child to end; a WorkerError unless it exited 0."""
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        if status != 0:
+            how = f"was killed by signal {-status}" if status < 0 else f"exited {status}"
+            raise WorkerError(f"{self._who} {how} before returning {self._what}")
+
+    def kill(self) -> None:
+        """Kill and reap the child, busy or not, unless it was reaped already."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 # A document shorter than this many padded rows runs all its heads in this
 # process.  There a head's forward takes 0.2-0.5 ms, and what the split costs
 # eats what it saves: the worker wakes ~0.1 ms after a request on a 2-vCPU VM,
@@ -64,9 +100,12 @@ def split_heads(layers: list[AttentionParams], layouts: list[BandLayout]):
     """Run the upper half of the heads of `layers`, on documents of `layouts`,
     in one forked worker for the duration of the block.
 
-    Layers with one head, and documents of fewer than _MIN_ROWS padded rows,
-    run in this process.  With one usable CPU, or nothing left to split,
-    nothing is forked and the block runs as it would without this.
+    The parameters of `layers` are views of a
+    :class:`~sectsum.autodiff.ParamStore`, as every ``Model``'s are: the
+    worker reads them there.  Layers with one head, and documents of fewer
+    than _MIN_ROWS padded rows, run in this process.  With one usable CPU,
+    or nothing left to split, nothing is forked and the block runs as it
+    would without this.
     """
     layers = [layer for layer in layers if len(layer.heads) >= 2]
     layouts = [layout for layout in layouts if layout.valid_col.shape[0] >= _MIN_ROWS]
@@ -83,8 +122,8 @@ def split_heads(layers: list[AttentionParams], layouts: list[BandLayout]):
 
 
 _FORWARD, _BACKWARD = 1, 2
-_HEADER = 8  # int64 slots ahead of the float64 data: op, layer, layout, seq, keep, message bytes
-_MESSAGE = 1024  # bytes of a worker's error message, kept where the layer input goes
+_HEADER = 8  # int64 slots before the float64 data: op, layer, layout, seq, keep; 8 keeps it 64-byte aligned
+_MESSAGE = 1024  # bytes of a worker's error message, sent after its reply byte: one pipe write
 
 
 def _remote_heads(layer: AttentionParams) -> list:
@@ -104,55 +143,28 @@ class HeadWorker:
     on documents whose band layouts are among `layouts` (see the module
     docstring).  Built by :func:`split_heads`, which also closes it.
 
-    The shared block holds, after its header, the worker heads' weights and
-    biases of every layer in fixed places, the layer input or merged heads'
-    gradient of the current request, and its results.
+    The shared block holds, after its header, the layer input or merged
+    heads' gradient of the current request, then its results.
     """
 
     def __init__(self, layers: list[AttentionParams], layouts: list[BandLayout]):
         self._layers, self._layouts = layers, layouts
         self._layer_index = {id(layer): i for i, layer in enumerate(layers)}
         self._layout_index = {id(layout): i for i, layout in enumerate(layouts)}
-        tensors = [[t for head in _remote_heads(layer) for lin in attention._projections(head)
-                    for t in (lin.weight, lin.bias)] for layer in layers]
         longest = max(layout.valid_col.shape[0] for layout in layouts)
-        self._io = _HEADER + sum(t.data.size for ts in tensors for t in ts)
-        self._results = self._io + longest * max(layer.d_model for layer in layers)
+        self._results = _HEADER + longest * max(layer.d_model for layer in layers)
         size = self._results + max(len(_remote_heads(layer)) * _per_head(layer, longest) for layer in layers)
-        size = max(size, self._io + _MESSAGE // 8)
-        import mmap  # here: label and summarize import this module but map no block
-
-        self._mmap = mmap.mmap(-1, 8 * size)
-        self._block = np.frombuffer(self._mmap, dtype=np.float64)
+        self._block = np.frombuffer(mmap.mmap(-1, 8 * size))
         self._header = self._block[:_HEADER].view(np.int64)
-        # per layer, (parameter, its place in the block) of the worker heads
-        self._places: list[list[tuple]] = []
-        o = _HEADER
-        for ts in tensors:
-            places = []
-            for t in ts:
-                places.append((t, self._block[o:o + t.data.size].reshape(t.data.shape)))
-                o += t.data.size
-            self._places.append(places)
         self._seq = 0
         requests_r, self._requests = os.pipe()
         self._replies, replies_w = os.pipe()
-        self._pid = os.fork()
-        if self._pid == 0:  # the worker never returns from here
-            code = 1
-            try:
-                os.close(self._requests)
-                os.close(self._replies)
-                signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent decides when it stops
-                self._serve(requests_r, replies_w)
-                code = 0
-            finally:
-                os._exit(code)
+        self._child = Child("the head worker process", "its heads' results", self._serve, requests_r, replies_w)
         os.close(requests_r)
         os.close(replies_w)
 
     def _io_array(self, n: int, d: int) -> np.ndarray:
-        return self._block[self._io:self._io + n * d].reshape(n, d)
+        return self._block[_HEADER:_HEADER + n * d].reshape(n, d)
 
     # -- the parent's side -------------------------------------------------
     def forward(self, x: np.ndarray, layout: BandLayout, params: AttentionParams, keep: bool):
@@ -162,8 +174,6 @@ class HeadWorker:
         if li is None or pi is None:
             return None
         self._io_array(*x.shape)[...] = x
-        for t, place in self._places[li]:  # the parameters as they are now, updates included
-            place[...] = t.data
         if keep:
             self._seq += 1
         seq = self._seq if keep else 0
@@ -171,43 +181,32 @@ class HeadWorker:
         return RemoteHeads(self, params, layout, li, pi, seq)
 
     def _send(self, op: int, *args: int) -> None:
-        if self._pid is None:
+        if self._child.pid is None:
             raise WorkerError("the head worker has stopped")
         self._header[:len(args) + 1] = (op, *args)
         try:
             os.write(self._requests, b"\1")
         except BrokenPipeError:
-            self._died()
+            self._child.reap()
 
     def _reply(self) -> None:
-        reply = os.read(self._replies, 1)
+        # one read takes the whole reply: it is one write of at most 1 + _MESSAGE bytes, below PIPE_BUF
+        reply = os.read(self._replies, 1 + _MESSAGE)
         if not reply:
-            self._died()
+            self._child.reap()
         if reply != b"\0":
-            start = 8 * self._io
-            message = self._mmap[start:start + int(self._header[5])].decode("utf-8", "replace")
-            raise WorkerError(f"the head worker failed: {message}")
-
-    def _died(self):
-        status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-        self._pid = None  # reaped
-        how = f"was killed by signal {-status}" if status < 0 else f"exited {status}"
-        raise WorkerError(f"the head worker process {how} before returning its heads' results")
+            raise WorkerError(f"the head worker failed: {reply[1:].decode('utf-8', 'replace')}")
 
     def close(self) -> None:
         """Stop the worker, busy or not, and reap it."""
         os.close(self._requests)
         os.close(self._replies)
-        if self._pid is not None:
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
+        self._child.kill()
 
     # -- the worker's side -------------------------------------------------
     def _serve(self, requests: int, replies: int) -> None:
-        for places in self._places:  # the worker heads read their parameters in place
-            for t, place in places:
-                t.data = place
+        os.close(self._requests)
+        os.close(self._replies)
         saved: dict[int, tuple] = {}  # layer index -> (seq, layout index, x, worker heads' states)
         while os.read(requests, 1):
             op, li, pi, seq, keep = (int(v) for v in self._header[:5])
@@ -218,10 +217,7 @@ class HeadWorker:
                     self._serve_backward(li, pi, seq, saved)
                 reply = b"\0"
             except Exception as e:  # reported to the parent, which raises it
-                message = f"{type(e).__name__}: {e}".encode("utf-8")[:_MESSAGE]
-                self._header[5] = len(message)
-                self._mmap[8 * self._io:8 * self._io + len(message)] = message
-                reply = b"\1"
+                reply = b"\1" + f"{type(e).__name__}: {e}".encode("utf-8")[:_MESSAGE]
             os.write(replies, reply)
 
     def _serve_forward(self, li: int, pi: int, seq: int, keep: bool, saved: dict) -> None:
