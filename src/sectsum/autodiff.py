@@ -2,21 +2,23 @@
 
 Define-by-run: each operation returns a new :class:`Tensor` that remembers its
 parents and a closure that routes the incoming gradient to them.  Calling
-:func:`backward` on a scalar walks the recorded graph once in reverse
-topological order, carrying this pass's gradients in a scratch buffer, and
-adds the result into each leaf's ``.grad``.  An op's entry in that buffer is
-dropped when its backward runs, as no later node adds to it, so the sweep
-holds only gradients still to be routed; leaves keep theirs to the end.
-Gradients accumulate in ``.grad`` until explicitly cleared, so two backward
-calls on the same graph double every leaf gradient.  Graphs are rebuilt on
-every forward pass.
+:func:`backward` on a scalar walks the recorded op nodes once in reverse
+topological order.  An op node holds the gradients it receives, summed, in
+its ``_pass`` slot until its backward routes them, and then drops them, as
+no later node adds to it, so the sweep holds only gradients still to be
+routed.  A leaf takes each gradient into ``.grad`` as it arrives: the first
+copied, later ones added in place.  Gradients accumulate in ``.grad`` until
+explicitly cleared, so two backward calls on the same graph double every
+leaf gradient.  Graphs are rebuilt on every forward pass.
 
 A model's parameters live in a :class:`ParamStore`: one float64 vector holds
 every parameter's values and another their gradients, and each tensor's
 ``.data`` and ``grad_view`` are views into them.  The sweep copies a
 parameter's first gradient into its ``grad_view``, which ``.grad`` then is,
 and adds later ones in place, so an update is a few passes over the whole
-vectors.  A sweep that raises may leave part of its gradients there.
+vectors.  A leaf reached twice in one sweep adds each gradient in turn,
+(g + g1) + g2; no ``Model`` parameter is reached twice.  A sweep that
+raises may leave part of its gradients in the leaves.
 
 Everything is float64 on purpose: the engine is meant for desk-scale models
 whose correctness is checked against central finite differences, and the
@@ -32,7 +34,7 @@ only if it replays their expressions and adds the gradients of an input they
 share in the order the sweep added them.  It asks :func:`recording` before
 keeping state for its backward, so that under :func:`no_grad` it keeps none.
 A backward must not write into the gradient it receives, nor into any array
-it has handed to ``_accumulate``: the first gradient a tensor receives is
+it has handed to ``_accumulate``: the first gradient an op node receives is
 stored as is, not copied, so another node may still read it.  Arrays it
 allocates itself it may fill in place before handing them on.  The other
 side of that contract: a store's update writes every parameter's ``.data``
@@ -40,10 +42,10 @@ in place, so a graph still alive at an update would see the new values
 wherever it kept a parameter's array rather than a copy.  Free the graph
 (drop the loss) before updating, as ``training.train`` does.
 
-The engine is not re-entrant: whether ops record (``_grad_enabled``) and the
-gradients of the running sweep (``_pass_grads``) are module globals, so two
-threads must not build graphs or run :func:`backward` at the same time, and
-a backward closure must not start another sweep.
+The engine is not re-entrant: whether ops record (``_grad_enabled``) is a
+module global, so two threads must not build graphs at the same time, and a
+sweep keeps its gradients on the graph's op nodes and leaves, so two sweeps
+must not run over one graph at once; a backward closure must not start one.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def no_grad():
 class Tensor:
     """A numpy float64 array plus the bookkeeping needed for backprop."""
 
-    __slots__ = ("data", "grad", "grad_view", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "grad_view", "requires_grad", "_parents", "_backward", "_pass")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.array(data, dtype=np.float64, copy=True)
@@ -94,6 +96,8 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
+        # an op node's gradient received in the running sweep and not yet routed
+        self._pass: np.ndarray | None = None
 
     # -- convenience -----------------------------------------------------
     @property
@@ -140,6 +144,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.nd
     out.requires_grad = False
     out._parents = ()
     out._backward = None
+    out._pass = None
     if recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -147,36 +152,23 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.nd
     return out
 
 
-# While a backward sweep is running, gradients flow through this per-pass
-# buffer (id(tensor) -> (tensor, grad)) instead of the persistent .grad
-# fields.  An op's entry is popped when its backward runs; only graph leaves
-# have the pass result added into .grad at the end, so repeated backward
-# calls accumulate exactly one dLoss/dLeaf each.  A store parameter whose
-# .grad is None takes its gradients in its place as they come instead (its
-# entry holds None), with the same additions in the same order, so no leaf
-# gradient waits in the buffer for the end of the sweep.
-# _accumulate runs only inside the closures a sweep calls, so it is always set.
-_pass_grads: dict[int, tuple["Tensor", np.ndarray]] | None = None
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    entry = _pass_grads.get(id(t))
-    if entry is None:
-        if t.grad is None and t.grad_view is not None:
-            # a store parameter's first gradient since zero_grads goes to its place at once
+    if t._backward is None:  # a leaf takes each gradient as it arrives; a first -0.0 is copied
+        if t.grad is not None:
+            t.grad += g
+        elif t.grad_view is not None:
             np.copyto(t.grad_view, g)
             t.grad = t.grad_view
-            _pass_grads[id(t)] = (t, None)
         else:
-            # stored as is, unless a strided view: BLAS may round one differently
-            # from the dense copy every later matmul saw before this was dropped
-            _pass_grads[id(t)] = (t, g if g.flags.forc else np.array(g, copy=True))
-    elif entry[1] is None:
-        t.grad += g
+            t.grad = g.copy()
+    elif t._pass is None:
+        # stored as is, unless a strided view: BLAS may round one differently
+        # from the dense copy every later matmul saw before this was dropped
+        t._pass = g if g.flags.forc else np.array(g, copy=True)
     else:
-        _pass_grads[id(t)] = (t, entry[1] + g)
+        t._pass = t._pass + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -558,19 +550,20 @@ def clamp_indices(indices: np.ndarray, n_rows: int, *, warn_label: str = "embedd
 
 
 def backward(out: Tensor) -> None:
-    """Backpropagate from a scalar: reverse-topological sweep of the graph.
+    """Backpropagate from a scalar: a reverse-topological sweep of the graph's op nodes.
 
-    Each call adds exactly dLoss/dLeaf into every requires_grad leaf's .grad
-    (pure accumulation: two calls without zeroing double the grads).
-    Intermediate nodes never retain gradients: each one's pass gradient is
-    dropped once its backward has routed it.
+    Each call adds dLoss/dLeaf into every requires_grad leaf's .grad, one
+    gradient at a time as the sweep routes them (pure accumulation: two calls
+    without zeroing double the grads).  An op node's ``_pass`` holds its
+    gradient only until its backward has routed it; none holds one once the
+    call returns or raises.
     """
     if out.size != 1:
         raise DimensionError(f"backward expects a scalar output, got shape {out.shape}")
     if not out.requires_grad:
         raise ValueError("backward on a tensor that does not require grad (graph not recorded?)")
 
-    topo: list[Tensor] = []
+    topo: list[Tensor] = []  # the op nodes, leaves left out
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(out, False)]
     while stack:
@@ -583,27 +576,19 @@ def backward(out: Tensor) -> None:
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
+            if p._backward is not None and id(p) not in visited:
                 stack.append((p, False))
 
-    global _pass_grads
-    _pass_grads = {id(out): (out, np.ones_like(out.data))}
     try:
+        _accumulate(out, np.ones_like(out.data))
         for node in reversed(topo):
-            # popped: in reverse topological order nothing adds to it afterwards
-            if node._backward is not None and id(node) in _pass_grads:
-                node._backward(_pass_grads.pop(id(node))[1])
+            # taken: in reverse topological order nothing adds to it afterwards
+            g, node._pass = node._pass, None
+            if g is not None:
+                node._backward(g)
     finally:
-        pass_grads, _pass_grads = _pass_grads, None
-
-    # what is left are the leaves' entries, None for a store parameter's, added already
-    for node, g in pass_grads.values():
-        if g is None:
-            continue
-        if node.grad is None:
-            node.grad = g.copy()
-        else:
-            node.grad += g
+        for node in topo:
+            node._pass = None
 
 
 # ---------------------------------------------------------------------------

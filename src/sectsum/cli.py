@@ -5,11 +5,14 @@ it to the subcommand, which embeds its model hash in whatever artifact it
 writes and refuses input artifacts carrying a different hash.  Exit codes:
 0 success, 1 contract or validation failure, 2 I/O or usage problems.  NumPy's
 floating-point warnings are off: an overflowing model is reported by its refusal.
+Every subcommand runs at one OpenBLAS thread, so OPENBLAS_NUM_THREADS changes no byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
 import logging
 import os
@@ -414,6 +417,33 @@ def cmd_bench(args, cfg: RunConfig) -> int:
     return 0
 
 
+# the thread-count setters and getters that OpenBLAS builds export; NumPy's wheels bundle scipy-openblas
+_OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads")
+_SETTER, _GETTER = ctypes.CFUNCTYPE(None, ctypes.c_int), ctypes.CFUNCTYPE(ctypes.c_int)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block at one thread of the OpenBLAS in /proc/self/maps, then restore the caller's count."""
+    found = []
+    with contextlib.suppress(OSError), open("/proc/self/maps") as maps:
+        paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line.lower()})
+        found = [(_SETTER((name.format("set"), lib)), _GETTER((name.format("get"), lib)))
+                 for lib in map(ctypes.CDLL, paths) for name in _OPENBLAS_THREADS
+                 if hasattr(lib, name.format("set")) and hasattr(lib, name.format("get"))]
+    if not found:
+        log.debug("no OpenBLAS thread-count setter found: the BLAS thread count is left as it is")
+        yield
+        return
+    set_threads, get_threads = found[0]
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
 _COMMANDS = {
     "ingest": cmd_ingest,
     "label": cmd_label,
@@ -428,7 +458,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), _one_blas_thread():
             return _COMMANDS[args.command](args, _config_from_args(args))
     except (TrainingError, WorkerError, ValueError) as e:
         print(f"sectsum {args.command}: {e}", file=sys.stderr)

@@ -284,8 +284,7 @@ class RemoteHeads:
 
     def gradients(self):
         """Per worker head, its (bias, weight, input contribution) triples in
-        projection order: gradients copied out, contributions views of the
-        block valid until the next request."""
+        projection order, each a view of the block valid until the next request."""
         worker = self._worker
         worker._reply()
         params, block = self._params, worker._block
@@ -296,10 +295,10 @@ class RemoteHeads:
             o = worker._results + j * _per_head(params, n)
             triples = []
             for _ in range(projections):
-                d_bias = block[o:o + d_head].copy()
+                d_bias = block[o:o + d_head]
                 o += d_head
                 # the weight gradient in the layout the serial (x.T @ g).T has
-                d_weight = block[o:o + d * d_head].reshape(d, d_head).copy().T
+                d_weight = block[o:o + d * d_head].reshape(d, d_head).T
                 o += d * d_head
                 triples.append((d_bias, d_weight, block[o:o + n * d].reshape(n, d)))
                 o += n * d

@@ -158,29 +158,47 @@ def test_backward_accumulates_on_repeat():
 
 
 def test_backward_frees_each_pass_gradient_once_its_node_has_run():
-    # a is read by b (twice) and by c; w is a second leaf, read last
+    # a is read by b (twice) and by s; w is a second leaf, read by c
     x = Tensor([0.5, -1.0], requires_grad=True)
     w = Tensor([2.0, 3.0], requires_grad=True)
     a = ad.tanh(x)
     b = a * a
-    c = (b + a) * w
+    s = b + a
+    c = s * w
     out = ad.tsum(c)
-    held = {}
-    for name, node in (("a", a), ("b", b), ("c", c), ("out", out)):
+    ops = {"a": a, "b": b, "s": s, "c": c, "out": out}
+    held, w_grads = {}, {}
+    for name, node in ops.items():
         def spy(g, run=node._backward, name=name):
-            held[name] = set(ad._pass_grads)
+            held[name] = {k for k, op in ops.items() if op._pass is not None}
+            assert x._pass is None and w._pass is None  # a leaf never holds a pass gradient
+            w_grads[name] = w.grad is not None
             run(g)
         node._backward = spy
     ad.backward(out)
-    # when a node's backward runs, every node after it in the sweep has
-    # dropped its entry, its own included; only leaves keep theirs
-    assert held["out"] == set()
-    assert held["c"] == set()
-    assert held["b"] == {id(w), id(a)}
-    assert held["a"] == {id(w)}
+    # the sweep runs out, c, s, b, a; when a node's backward runs, it and every
+    # node swept before it hold no pass gradient: only a, fed by s, waits for b's
+    assert held == {"out": set(), "c": set(), "s": set(), "b": {"a"}, "a": set()}
+    assert all(op._pass is None for op in ops.values())
+    # a leaf takes its gradient as it arrives: w's when c runs, not at the end
+    assert w_grads == {"out": False, "c": False, "s": True, "b": True, "a": True}
     t = np.tanh(x.data)
     np.testing.assert_allclose(x.grad, w.data * (2 * t + 1) * (1 - t * t), rtol=1e-12)
     np.testing.assert_allclose(w.grad, t * t + t, rtol=1e-12)
+
+
+def test_a_sweep_that_raises_leaves_no_pass_gradient():
+    x = Tensor([0.5, -1.0], requires_grad=True)
+    a = ad.tanh(x)
+    b = a * a
+    out = ad.tsum(b + a)
+
+    def fail(g):
+        raise RuntimeError("boom")
+    b._backward = fail
+    with pytest.raises(RuntimeError, match="boom"):
+        ad.backward(out)
+    assert a._pass is None and b._pass is None and out._pass is None
 
 
 def test_backward_requires_scalar():

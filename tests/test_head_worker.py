@@ -1,6 +1,7 @@
 """`train`'s head worker: a sublayer split over two processes keeps every bit of
 the serial one, a stale backward is refused, and `train` writes the same bytes
-at every CPU count, forks only where it may, and leaves no process behind.
+at every CPU count and every OPENBLAS_NUM_THREADS, forks only where it may, and
+leaves no process behind.
 
 The CPU count is set through `cli._usable_cpus`, the seam of `label` and
 `summarize`, and `workers._usable_cpus`, where `train` reads it.
@@ -10,10 +11,14 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sectsum
 from helpers import assert_no_children, deadline, load_perfbench_gen
 from sectsum import attention
 from sectsum import autodiff as ad
@@ -195,6 +200,27 @@ def test_train_writes_the_same_bytes_at_every_cpu_count(seed1, workload, forks, 
         outputs[count] = (ckpt.read_bytes(), metrics.read_bytes())
         assert_no_children()
     assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+
+
+def test_train_through_the_cli_writes_the_one_thread_bytes_at_any_blas_thread_count(seed1, tmp_path):
+    # the CLI runs its subcommand at one OpenBLAS thread: left to OpenBLAS, two threads round
+    # pipeline-long's long weight-gradient products and n x n maps differently
+    src = str(Path(sectsum.__file__).parent.parent)
+    unset = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    unset["PYTHONPATH"] = os.pathsep.join(filter(None, [src, unset.get("PYTHONPATH")]))
+    outputs = {}
+    for threads in ("1", "2", None):
+        ckpt, metrics = tmp_path / f"{threads}.ckpt", tmp_path / f"{threads}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "sectsum.cli", "train", *seed1["pipeline-long"],
+             "--checkpoint-out", str(ckpt), "--metrics-out", str(metrics)],
+            env=unset if threads is None else {**unset, "OPENBLAS_NUM_THREADS": threads},
+            check=True, capture_output=True,
+        )
+        outputs[threads] = (ckpt.read_bytes(), metrics.read_bytes())
+    assert outputs["2"] == outputs["1"], "OPENBLAS_NUM_THREADS=2"
+    assert outputs[None] == outputs["1"], "OPENBLAS_NUM_THREADS unset"
 
 
 def test_train_with_one_head_forks_nothing(seed1, tmp_path, monkeypatch):

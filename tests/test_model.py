@@ -181,6 +181,47 @@ def test_default_config_loss_graph_has_one_node_per_layer(monkeypatch):
         assert [i for i in added if reachable[i]._backward is not None] == [id(out)]
 
 
+# config overrides of the default config, whether the loss is reinforced, and
+# how many of the model's parameters a backward reaches
+ONE_GRADIENT_CASES = {
+    "ce": ({}, False, None),
+    "reinforced": ({}, True, None),
+    "concat": ({"combine": "concat"}, False, None),
+    "no-globals": ({"global_ratio": 0.0}, False, 88),
+    "3-layers-8-heads": ({"layers": 3, "heads": 8}, False, None),
+}
+
+
+@pytest.mark.parametrize("case", ONE_GRADIENT_CASES)
+def test_every_parameter_receives_at_most_one_gradient_per_sweep(monkeypatch, case):
+    # a leaf adds each gradient as it arrives; a parameter fed twice in one sweep
+    # would round (g + g1) + g2 where its checkpoint bytes were made with g + (g1 + g2)
+    over, reinforced, reached = ONE_GRADIENT_CASES[case]
+    model = Model(RunConfig(**over))
+    item = planted_corpus(n_docs=1, n_sentences=36, n_sections=4)[0]
+    names = {id(t): name for name, t in model.parameters().items()}
+    received = {}
+    accumulate = ad._accumulate
+
+    def spy(t, g):
+        if id(t) in names:
+            received[names[id(t)]] = received.get(names[id(t)], 0) + 1
+        accumulate(t, g)
+
+    monkeypatch.setattr(ad, "_accumulate", spy)
+    plan = model.plan(item.document)
+    scores = model.forward(plan.doc, plan)
+    if reinforced:
+        loss = candidate_loss(scores, sample_candidates(plan.doc, np.asarray(item.labels), 3,
+                                                        seed=stable_seed("cands", plan.doc.id)))
+    else:
+        loss = ce_loss(scores, item.labels)
+    ad.backward(loss)
+    assert set(received.values()) == {1}, {k: v for k, v in received.items() if v > 1}
+    assert len(received) == (reached or len(names))
+    assert all((t.grad is None) == (name not in received) for name, t in model.parameters().items())
+
+
 def _composed_case_doc(seed: int, n: int):
     """A seeded n-sentence, 2-section document and 0/1 labels with both classes when n > 1."""
     rng = np.random.default_rng(seed)

@@ -175,9 +175,9 @@ def test_the_loss_after_an_in_place_update_is_a_fresh_models_at_the_same_paramet
 
 
 def test_backward_gives_a_store_parameter_the_gradient_bits_of_a_plain_tensor():
-    """In place, with the additions of the per-tensor path: a -0.0 copied, not
-    added to 0.0; two uses in a sweep added in order; a sweep's total added to
-    an earlier gradient, not each use in turn (1 + 2e-16 is not (1 + 1e-16) + 1e-16)."""
+    """In place, with the additions of a plain leaf: a -0.0 copied, not added
+    to 0.0; two uses in a sweep added in order; and every gradient added to an
+    earlier one as it arrives, so (1 + 1e-16) + 1e-16, which is 1.0, not 1 + 2e-16."""
     stored = ad.Tensor(np.ones(2), requires_grad=True)
     store = ad.ParamStore([stored])
     plain = ad.Tensor(np.ones(2), requires_grad=True)
@@ -192,7 +192,7 @@ def test_backward_gives_a_store_parameter_the_gradient_bits_of_a_plain_tensor():
 
     first = sweep([1.0, -0.0])
     assert np.signbit(first[1])
-    assert sweep([1e-16, 1e-16], [1e-16, 1e-16])[0] == 1.0 + 2e-16
+    assert sweep([1e-16, 1e-16], [1e-16, 1e-16])[0] == (1.0 + 1e-16) + 1e-16 == 1.0
     store.zero_grads()
     plain.grad = None
     assert stored.grad is None and not store.grad.any()
