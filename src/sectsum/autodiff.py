@@ -53,7 +53,6 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
-import mmap
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -496,18 +495,12 @@ def linear_forward(x: np.ndarray, layer: Linear) -> tuple[np.ndarray, np.ndarray
     return x @ wt + layer.bias.data, wt
 
 
-def linear_grads(g: np.ndarray, x: np.ndarray, wt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The bias, weight and input gradients of :func:`linear_forward`."""
-    return g.sum(axis=0), (x.T @ g).T, g @ wt.T
-
-
 def linear_backward(g: np.ndarray, x: np.ndarray, wt: np.ndarray, layer: Linear) -> np.ndarray:
     """Add the bias and weight gradients of :func:`linear_forward` into the
     running sweep; return the input gradient."""
-    d_bias, d_weight, dx = linear_grads(g, x, wt)
-    _accumulate(layer.bias, d_bias)
-    _accumulate(layer.weight, d_weight)
-    return dx
+    _accumulate(layer.bias, g.sum(axis=0))
+    _accumulate(layer.weight, (x.T @ g).T)
+    return g @ wt.T
 
 
 def linear(x, layer: Linear) -> Tensor:
@@ -620,9 +613,7 @@ class ParamStore:
     and sums a block of them at a time.  A tensor's gradient is zero wherever
     its ``.grad`` is None, which :meth:`zero_grads` keeps; the gradient
     vector is ``np.zeros``, whose pages stay untouched until a backward
-    writes them.  A layer split by :func:`sectsum.workers.split_heads` holds
-    views of a store, as every ``Model``'s do, and :attr:`data` lies in shared
-    memory, so the worker forked after it is built reads every update in place.
+    writes them.
     """
 
     def __init__(self, tensors: Iterable[Tensor]):
@@ -631,7 +622,7 @@ class ParamStore:
         for i, t in enumerate(self.tensors):
             by_size.setdefault(t.data.size, []).append(i)
         total = sum(t.data.size for t in self.tensors)
-        self.data = np.frombuffer(mmap.mmap(-1, 8 * total)) if total else np.empty(0)
+        self.data = np.empty(total)
         self.grad = np.zeros(total)
         # gradient blocks of same-size tensors, one row each, of at most
         # _NORM_CHUNK floats where rows allow, and the rows' positions in `tensors`

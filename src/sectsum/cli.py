@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import autodiff as ad
 from .bench import doubling_ratios, run_bench, write_bench_tsv
@@ -207,8 +208,7 @@ def _map_documents(fn, docs) -> list:
     try:
         for share in shares[1:]:
             read_fd, write_fd = os.pipe()
-            child = Child("a worker process", "its documents' results", _send_share, fn, docs, share,
-                          read_fd, write_fd)
+            child = Child(_send_share, fn, docs, share, read_fd, write_fd)
             os.close(write_fd)
             children.append((child, open(read_fd, "rb")))
         done = _run_share(fn, docs, shares[0])
@@ -424,12 +424,14 @@ _SETTER, _GETTER = ctypes.CFUNCTYPE(None, ctypes.c_int), ctypes.CFUNCTYPE(ctypes
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block at one thread of the OpenBLAS in /proc/self/maps, then restore the caller's count."""
+    """Run the block at one thread of the OpenBLAS that NumPy's linear algebra
+    links, then restore the caller's count.  A symbol looked up in NumPy's
+    extension is also searched for in the libraries it links."""
     found = []
-    with contextlib.suppress(OSError), open("/proc/self/maps") as maps:
-        paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line.lower()})
+    with contextlib.suppress(OSError):
+        lib = ctypes.CDLL(_umath_linalg.__file__)
         found = [(_SETTER((name.format("set"), lib)), _GETTER((name.format("get"), lib)))
-                 for lib in map(ctypes.CDLL, paths) for name in _OPENBLAS_THREADS
+                 for name in _OPENBLAS_THREADS
                  if hasattr(lib, name.format("set")) and hasattr(lib, name.format("get"))]
     if not found:
         log.debug("no OpenBLAS thread-count setter found: the BLAS thread count is left as it is")

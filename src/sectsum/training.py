@@ -15,13 +15,10 @@ parameter order), one scaling of the gradient vector when the clip fires,
 the roundings the per-tensor ``data - lr * grad`` made, so every output
 keeps its bits.  Each document's graph is freed before the update.
 
-Documents are trained one after another, as each update feeds the next, so
-`train` spreads each attention sublayer instead: with two or more usable
-CPUs and heads, one worker process forked after every plan is built runs the
-upper half of each sublayer's heads on documents of at least
-``workers._MIN_ROWS`` padded rows (:func:`sectsum.workers.split_heads`).
-Every output keeps its bits at any CPU count, and the worker is gone when
-`train` returns or raises.
+Documents are trained one after another in this process, as each update
+feeds the next.  Once every plan is built nothing is encoded again, so the
+model's encoder is replaced by a fresh one, freeing the token vectors that
+planning drew.
 """
 
 from __future__ import annotations
@@ -35,10 +32,10 @@ import numpy as np
 from . import autodiff as ad
 from .config import RunConfig
 from .corpus import LabeledDocument, tokenize, write_table
+from .encoder import StubEncoder
 from .extractor import SentenceScores, select_sentences
 from .model import DocumentPlan, Model
 from .rouge import CandidateSet, rouge_l, rouge_n, sample_candidates, stable_seed
-from .workers import split_heads
 
 log = logging.getLogger(__name__)
 
@@ -220,6 +217,8 @@ def train(model: Model, dataset: list[LabeledDocument], cfg: RunConfig) -> Train
                    for item, plan in zip(train_set, train_plans)]
     holdout_plans = [model.plan(item.document) for item in holdout]
     holdout_refs = [tokenize(item.document.reference_summary) for item in holdout]
+    # nothing is encoded after this: a later plan draws the same vectors again
+    model.encoder = StubEncoder(model.encoder.d, model.encoder.seed)
 
     pending = 0
     last_lr = 0.0
@@ -236,49 +235,47 @@ def train(model: Model, dataset: list[LabeledDocument], cfg: RunConfig) -> Train
             result.flush_updates += 1
         pending = 0
 
-    # forked once every plan, and with it every band layout the worker reads, is built
-    with split_heads(model.layers, [plan.mask.layout for plan in train_plans + holdout_plans]):
-        for epoch in range(1, cfg.epochs + 1):
-            order = epoch_rng.permutation(len(train_set))
-            epoch_losses = []
-            for idx in order:
-                item = train_set[int(idx)]
-                loss = _doc_loss(model, item, train_plans[int(idx)], train_cands[int(idx)])
-                loss_val = float(loss.data)
-                if not math.isfinite(loss_val):
-                    raise TrainingError(
-                        f"non-finite loss {loss_val} at epoch {epoch}, update {result.updates + 1}, "
-                        f"doc {item.document.id}"
-                    )
-                epoch_losses.append(loss_val)
-                ad.backward(loss)
-                del loss  # free this graph before the next forward builds one
-                pending += 1
-                if pending == cfg.accumulation_steps:
-                    apply_update(flush=False)
-            if pending:
-                apply_update(flush=True)  # partial batch at epoch end
+    for epoch in range(1, cfg.epochs + 1):
+        order = epoch_rng.permutation(len(train_set))
+        epoch_losses = []
+        for idx in order:
+            item = train_set[int(idx)]
+            loss = _doc_loss(model, item, train_plans[int(idx)], train_cands[int(idx)])
+            loss_val = float(loss.data)
+            if not math.isfinite(loss_val):
+                raise TrainingError(
+                    f"non-finite loss {loss_val} at epoch {epoch}, update {result.updates + 1}, "
+                    f"doc {item.document.id}"
+                )
+            epoch_losses.append(loss_val)
+            ad.backward(loss)
+            del loss  # free this graph before the next forward builds one
+            pending += 1
+            if pending == cfg.accumulation_steps:
+                apply_update(flush=False)
+        if pending:
+            apply_update(flush=True)  # partial batch at epoch end
 
-            train_row = {
-                "epoch": epoch, "split": "train", "loss": float(np.mean(epoch_losses)),
-                "rouge1_recall": "", "rouge2_recall": "", "rougeL_recall": "", "lr": last_lr,
-            }
-            result.metrics.append(train_row)
-            if holdout:
-                ev = evaluate_split(model, holdout, cfg, holdout_plans, holdout_refs)
-                if not math.isfinite(ev["loss"]):
-                    raise TrainingError(f"non-finite holdout loss {ev['loss']} at epoch {epoch}")
-                result.metrics.append({"epoch": epoch, "split": "holdout", "lr": last_lr, **ev})
-            log.info(
-                "epoch %d: train loss %.4f%s", epoch, train_row["loss"],
-                f", holdout loss {result.metrics[-1]['loss']:.4f}" if holdout else "",
-            )
-        if not holdout:
-            plan = min(train_plans, key=lambda pl: pl.doc.n_sentences)
-            with ad.no_grad():
-                scores = model.forward(plan.doc, plan)
-            if not np.isfinite(scores.values).all():
-                raise TrainingError(f"doc {plan.doc.id}: non-finite sentence scores after the last update")
+        train_row = {
+            "epoch": epoch, "split": "train", "loss": float(np.mean(epoch_losses)),
+            "rouge1_recall": "", "rouge2_recall": "", "rougeL_recall": "", "lr": last_lr,
+        }
+        result.metrics.append(train_row)
+        if holdout:
+            ev = evaluate_split(model, holdout, cfg, holdout_plans, holdout_refs)
+            if not math.isfinite(ev["loss"]):
+                raise TrainingError(f"non-finite holdout loss {ev['loss']} at epoch {epoch}")
+            result.metrics.append({"epoch": epoch, "split": "holdout", "lr": last_lr, **ev})
+        log.info(
+            "epoch %d: train loss %.4f%s", epoch, train_row["loss"],
+            f", holdout loss {result.metrics[-1]['loss']:.4f}" if holdout else "",
+        )
+    if not holdout:
+        plan = min(train_plans, key=lambda pl: pl.doc.n_sentences)
+        with ad.no_grad():
+            scores = model.forward(plan.doc, plan)
+        if not np.isfinite(scores.values).all():
+            raise TrainingError(f"doc {plan.doc.id}: non-finite sentence scores after the last update")
     return result
 
 

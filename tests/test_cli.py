@@ -419,7 +419,7 @@ def test_token_less_sentences_are_kept_through_the_walkthrough(tmp_path, capsys,
 
 
 def test_train_checkpoint_is_byte_identical_at_a_fixed_blas_thread_count(tmp_path):
-    # the same bytes run after run at each count (that the counts agree is test_head_worker.py's)
+    # the same bytes run after run at each count (that the counts agree is test_cpus.py's)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("d_model = 64\nlayers = 1\nheads = 4\nwindow = 4\nmax_sentences = 48\n"
                    "ffn_dim = 64\nepochs = 2\naccumulation_steps = 2\nholdout_ratio = 0\n")
