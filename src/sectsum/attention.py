@@ -18,24 +18,32 @@ additive masks, the global rows, the validity columns) is its
 forward that reuses the mask.
 
 The sliding view and the sparse layer run one path (:func:`global_attention`).
-The band, the global rows and the sublayer each have an array-level forward
-and a written-out backward, from which :func:`transformer_layer` records one
-autodiff graph node per layer: a default-config cross-entropy loss graph has
-191 nodes (136 of them parameters) at every document length.  They replay
-the op-by-op graph kept in ``tests/helpers.py`` expression for expression
-and operand layout for operand layout, and, as floating-point addition does
-not associate, sum the layer input's gradient in that graph's order (see
+The band and the sublayer each have an array-level forward and a written-out
+backward, from which :func:`transformer_layer` records one autodiff graph
+node per layer: a default-config cross-entropy loss graph has 191 nodes (136
+of them parameters) at every document length.  They replay the op-by-op
+graph kept in ``tests/helpers.py`` expression for expression and operand
+layout for operand layout, and, as floating-point addition does not
+associate, sum the layer input's gradient in that graph's order (see
 :func:`_attention_backward`), so outputs and gradients keep their bits.
 
+The heads are stacked along a leading axis: the projections, the band's
+chunks and the parameter gradients run once for every head on (heads, rows,
+d_head) arrays, and a 3-D matmul makes one BLAS call per slice.  Each slice
+keeps the layout one head's operand had, as BLAS may round another layout
+differently: the stacked transposed weights are copied to C order (a stack
+of ``W.T`` views is F-ordered per slice); gathered global rows are
+contiguous and the merged heads C-ordered (with d_head 1 a fancy-indexed
+gather is strided and a transpose an F-ordered view); and the global keys'
+gradient stays a transposed view, so its bias sum runs pairwise along rows.
+
 A recording forward saves only what its backward reads and cannot rebuild
-as the same bytes.  Per chunk, the band saves its bounds, its query rows (a
-view) and its softmax probabilities, plus the head's keys; the backward
-rebuilds the transposed key-span copy and the contiguous band and global
-halves of the probabilities exactly as the forward built them (copies, not
-views: BLAS may round a strided operand differently).  The FFN saves its
-hidden layer and rebuilds the ReLU mask as ``hidden > 0``.  Under
-:func:`~sectsum.autodiff.no_grad` nothing is saved for backward, so only one
-head's intermediates are alive at a time.
+as the same bytes: the stacked projections and the softmax probabilities of
+each band chunk and each head's global rows; the backward rebuilds the
+key-span copies and probability halves as the forward built them.  The FFN
+saves its hidden layer and rebuilds the ReLU mask as ``hidden > 0``.  Under
+:func:`~sectsum.autodiff.no_grad` nothing is saved: one chunk's
+probabilities and one head's (globals × rows) scores are alive at a time.
 
 :func:`full_attention_reference` is a dense O(n²) form written out on its
 own, the oracle in tests and the quadratic baseline in benchmarks.
@@ -256,187 +264,179 @@ def _band_chunks(valid: np.ndarray, window: int, glob: np.ndarray) -> list[tuple
 
 def _split_columns(a: np.ndarray, at: int) -> tuple[np.ndarray, np.ndarray]:
     # contiguous halves: BLAS may round a strided operand differently
-    return np.ascontiguousarray(a[:, :at]), np.ascontiguousarray(a[:, at:])
+    return np.ascontiguousarray(a[..., :at]), np.ascontiguousarray(a[..., at:])
 
 
-def _band_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, layout: BandLayout) -> tuple[np.ndarray, tuple]:
-    """Chunked band attention for one head, and the state its backward reuses.
+def _band_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, layout: BandLayout, keep: bool):
+    """Chunked band attention for every head, and, when `keep`, the state its backward reuses.
 
-    Each chunk of w query rows scores its 3w key span; the glob columns are
-    masked out of the band and appended as extra targets for every row (so
-    band ∩ global never double counts).  Pad rows come out as zeros.  Every
-    matmul operand keeps the layout the op-by-op graph gave it (transposed
-    key copies, contiguous probability halves), as BLAS may round another
-    layout differently.
+    Each chunk of w query rows scores its 3w key span; the glob columns are masked out of the band and
+    appended as extra targets for every row (so band ∩ global never double counts).  Pad rows are zeros.
     """
     glob = layout.glob
-    k_glob_t = k[glob].T.copy()
-    v_glob = v[glob]
-    saved = []
-    outs = []
+    k_glob_t = k.take(glob, axis=1).mT.copy()
+    v_glob = v.take(glob, axis=1)
+    saved, outs = [], []
     for lo, hi, klo, khi, additive in layout.chunks:
-        q_c = q[lo:hi]
-        k_span_t = k[klo:khi].T.copy()
-        scores = q_c @ k_span_t + additive
+        q_c = q[:, lo:hi]
+        scores = q_c @ k[:, klo:khi].mT.copy() + additive
         if glob.size:
-            scores = np.concatenate([scores, q_c @ k_glob_t], axis=1)
-        probs = ad.softmax_forward(scores, axis=1)
+            scores = np.concatenate([scores, q_c @ k_glob_t], axis=2)
+        probs = ad.softmax_forward(scores, axis=2)
         p_band, p_glob = _split_columns(probs, khi - klo)
-        out = p_band @ v[klo:khi]
+        out = p_band @ v[:, klo:khi]
         if glob.size:
             out = out + p_glob @ v_glob
         outs.append(out)
-        saved.append((lo, hi, klo, khi, q_c, probs))
-    banded = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
-    return banded * layout.valid_col, (k, v, k_glob_t, v_glob, saved)
+        if keep:
+            saved.append(probs)
+        del probs, p_band, p_glob  # not alive in the next chunk's softmax
+    banded = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
+    return banded * layout.valid_col, (q, k, v, k_glob_t, v_glob, saved) if keep else None
 
 
-def _band_backward(g: np.ndarray, state: tuple, layout: BandLayout) -> tuple[np.ndarray, ...]:
-    """(dq, dk, dv) of :func:`_band_forward`: the softmax Jacobian-vector
-    product per chunk; dk and dv sum the overlapping spans in chunk order,
-    then add the glob columns."""
-    k, v, k_glob_t, v_glob, saved = state
+def _band_backward(g: np.ndarray, state: tuple, layout: BandLayout, d_qkv: np.ndarray) -> None:
+    """Write the (dq, dk, dv) of :func:`_band_forward` into the zeros `d_qkv`:
+    the softmax Jacobian-vector product per chunk; dk and dv sum the
+    overlapping spans in chunk order, then add the glob columns."""
+    q, k, v, k_glob_t, v_glob, saved = state
+    dq, dk, dv = d_qkv
     glob = layout.glob
     g = g * layout.valid_col
-    dq, dk, dv = np.zeros_like(v), np.zeros_like(v), np.zeros_like(v)
     dk_glob = dv_glob = 0.0
-    for lo, hi, klo, khi, q_c, probs in saved:
+    for (lo, hi, klo, khi, _), probs in zip(layout.chunks, saved):
+        q_c, g_c = q[:, lo:hi], g[:, lo:hi]
+        dp = g_c @ v[:, klo:khi].mT
+        if glob.size:
+            dp = np.concatenate([dp, g_c @ v_glob.mT], axis=2)
+        ds_band, ds_glob = _split_columns(ad.softmax_backward(probs, dp, axis=2), khi - klo)
+        del dp  # every head's chunk: freed before the copies below
         # rebuilt as the forward built them, copies and all, so the matmuls see the same operands
-        k_span_t = k[klo:khi].T.copy()
+        k_span_t = k[:, klo:khi].mT.copy()
         p_band, p_glob = _split_columns(probs, khi - klo)
-        g_c = g[lo:hi]
-        dp = g_c @ v[klo:khi].T
+        dq[:, lo:hi] = ds_band @ k_span_t.mT
+        dk[:, klo:khi] += (q_c.mT @ ds_band).mT
+        dv[:, klo:khi] += p_band.mT @ g_c
         if glob.size:
-            dp = np.concatenate([dp, g_c @ v_glob.T], axis=1)
-        ds_band, ds_glob = _split_columns(ad.softmax_backward(probs, dp, axis=1), khi - klo)
-        dq[lo:hi] = ds_band @ k_span_t.T
-        dk[klo:khi] += (q_c.T @ ds_band).T
-        dv[klo:khi] += p_band.T @ g_c
-        if glob.size:
-            dq[lo:hi] += ds_glob @ k_glob_t.T
-            dk_glob = dk_glob + (q_c.T @ ds_glob).T
-            dv_glob = dv_glob + p_glob.T @ g_c
+            dq[:, lo:hi] += ds_glob @ k_glob_t.mT
+            dk_glob = dk_glob + (q_c.mT @ ds_glob).mT
+            dv_glob = dv_glob + p_glob.mT @ g_c
     if glob.size:
-        dk[glob] += dk_glob
-        dv[glob] += dv_glob
-    return dq, dk, dv
+        dk[:, glob] += dk_glob
+        dv[:, glob] += dv_glob
 
 
-def _global_rows_forward(
-    local: np.ndarray, q_glob: np.ndarray, k: np.ndarray, v: np.ndarray, layout: BandLayout, inv_sqrt_d: float
-) -> tuple[np.ndarray, tuple]:
-    """Replace the glob rows of `local` by attention over all valid positions.
-
-    `q_glob` holds the glob rows' query projections before the 1/√d scale;
-    they score every key, pad columns masked, and their softmax-weighted
-    values overwrite those rows of the banded output.
-    """
-    qg = q_glob * inv_sqrt_d
-    kt = k.T.copy()
-    probs = ad.softmax_forward(qg @ kt + layout.valid_scores, axis=1)
-    placed = np.zeros_like(local)
-    placed[layout.glob] = probs @ v
-    return local * layout.keep_col + placed, (qg, kt, v, probs)
-
-
-def _global_rows_backward(
-    g: np.ndarray, state: tuple, layout: BandLayout, inv_sqrt_d: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(d local, d q_glob, dk, dv) of :func:`_global_rows_forward`."""
-    qg, kt, v, probs = state
-    g_glob = g[layout.glob]
-    ds = ad.softmax_backward(probs, g_glob @ v.T, axis=1)
-    return g * layout.keep_col, (ds @ kt.T) * inv_sqrt_d, (qg.T @ ds).T, probs.T @ g_glob
+def _attention_linears(params: AttentionParams, with_global: bool) -> tuple[list[ad.Linear], list[ad.Linear]]:
+    """Kind-major, heads within each kind: the projections of every row, then the global queries."""
+    parts = ("query", "key", "value") + (("global_value", "global_key") if with_global else ())
+    every_row = [getattr(head, part) for part in parts for head in params.heads]
+    return every_row, [head.global_query for head in params.heads] if with_global else []
 
 
 def _attention_tensors(params: AttentionParams, with_global: bool) -> list[ad.Tensor]:
     """The parameters the attention sublayer reads; the global projections only with global rows."""
-    parts = ("query", "key", "value") + (("global_query", "global_key", "global_value") if with_global else ())
-    linears = [getattr(head, part) for head in params.heads for part in parts] + [params.output]
-    return [t for lin in linears for t in (lin.weight, lin.bias)]
+    every_row, global_queries = _attention_linears(params, with_global)
+    return [t for lin in every_row + global_queries + [params.output] for t in (lin.weight, lin.bias)]
 
 
-def _plus(total: np.ndarray | None, d: np.ndarray) -> np.ndarray:
-    return d if total is None else total + d
+def _project(x: np.ndarray, linears: list[ad.Linear]) -> tuple[np.ndarray, np.ndarray]:
+    """`x @ W.T + b` for a stack of projections in one matmul, and the stacked transposed weights."""
+    # a C-order copy: each slice is the `W.T.copy()` that :func:`ad.linear_forward` multiplies by
+    wt = np.stack([lin.weight.data for lin in linears]).mT.copy()
+    out = x @ wt
+    out += np.stack([lin.bias.data for lin in linears])[:, None]
+    return out, wt
 
 
-def _head_forward(x: np.ndarray, head: HeadParams, layout: BandLayout, inv_sqrt_d: float, keep: bool):
-    """One head's projections, band and global rows: its output and, when
-    `keep`, the state its backward reads (else None, and each part is freed
-    as soon as the next is built)."""
-    q, q_wt = ad.linear_forward(x, head.query)
-    k, k_wt = ad.linear_forward(x, head.key)
-    v, v_wt = ad.linear_forward(x, head.value)
-    out, band = _band_forward(q * inv_sqrt_d, k, v, layout)
-    if not keep:
-        band = None
-    if not layout.glob.size:
-        return out, (q_wt, k_wt, v_wt, band, None) if keep else None
-    x_glob = x[layout.glob]
-    qg, qg_wt = ad.linear_forward(x_glob, head.global_query)
-    kg, kg_wt = ad.linear_forward(x, head.global_key)
-    vg, vg_wt = ad.linear_forward(x, head.global_value)
-    out, rows = _global_rows_forward(out, qg, kg, vg, layout, inv_sqrt_d)
-    return out, (q_wt, k_wt, v_wt, band, (rows, x_glob, qg_wt, kg_wt, vg_wt)) if keep else None
+def _project_backward(g: np.ndarray, x: np.ndarray, linears: list[ad.Linear]) -> None:
+    """Add each projection's bias and weight gradients of :func:`_project` into the running sweep."""
+    for lin, d_bias, d_weight in zip(linears, g.sum(axis=1), x.T @ g):
+        ad._accumulate(lin.bias, d_bias)
+        ad._accumulate(lin.weight, d_weight.T)
 
 
-def _head_backward(
-    g: np.ndarray, x: np.ndarray, head: HeadParams, state: tuple, layout: BandLayout, inv_sqrt_d: float,
-    dx: np.ndarray | None,
-) -> np.ndarray:
-    """Route one head's parameter gradients; return `dx` plus the head's input
-    gradient, added one projection at a time: query, key, value, then the
-    global query's rows put in place, the global keys and the global values."""
-    q_wt, k_wt, v_wt, band, global_state = state
-    if global_state is not None:
-        rows, x_glob, qg_wt, kg_wt, vg_wt = global_state
-        g, dqg, dkg, dvg = _global_rows_backward(g, rows, layout, inv_sqrt_d)
-    dq, dk, dv = _band_backward(g, band, layout)
-    dx = _plus(dx, ad.linear_backward(dq * inv_sqrt_d, x, q_wt, head.query))
-    dx = _plus(dx, ad.linear_backward(dk, x, k_wt, head.key))
-    dx = _plus(dx, ad.linear_backward(dv, x, v_wt, head.value))
-    if global_state is not None:
-        gathered = np.zeros_like(x)
-        # global rows are unique, so each entry is 0.0 + d (-0.0 lands as 0.0)
-        gathered[layout.glob] += ad.linear_backward(dqg, x_glob, qg_wt, head.global_query)
-        dx = _plus(dx, gathered)
-        dx = _plus(dx, ad.linear_backward(dkg, x, kg_wt, head.global_key))
-        dx = _plus(dx, ad.linear_backward(dvg, x, vg_wt, head.global_value))
-    return dx
+def _input_gradient(g: np.ndarray, wt: np.ndarray) -> np.ndarray:
+    """The input gradient `g @ W` of :func:`_project`'s projections `wt` (one, or a stack)."""
+    return g @ wt.mT
 
 
 def _attention_forward(x: np.ndarray, layout: BandLayout, params: AttentionParams, keep: bool):
     """The sparse attention sublayer on arrays: its output and, when `keep`,
     the state :func:`_attention_backward` reads (else None)."""
+    glob, n_heads = layout.glob, len(params.heads)
     inv_sqrt_d = 1.0 / math.sqrt(params.heads[0].query.out_features)
-    per_head, heads_state = [], []
-    for head in params.heads:
-        out, state = _head_forward(x, head, layout, inv_sqrt_d, keep)
-        per_head.append(out)
-        heads_state.append(state)
-    merged = per_head[0] if len(per_head) == 1 else np.concatenate(per_head, axis=1)
+    every_row, global_queries = _attention_linears(params, bool(glob.size))
+    proj, wt = _project(x, every_row)
+    proj[:n_heads] *= inv_sqrt_d
+    out, band = _band_forward(*proj[:3 * n_heads].reshape(3, n_heads, len(x), -1), layout, keep)
+    rows = None
+    if glob.size:
+        q_glob, q_glob_wt = _project(x[glob], global_queries)
+        q_glob *= inv_sqrt_d
+        kg_t = proj[4 * n_heads:].mT.copy()
+        placed = np.zeros_like(out)
+        saved = []
+        for h in range(n_heads):
+            probs = ad.softmax_forward(q_glob[h] @ kg_t[h] + layout.valid_scores, axis=1)
+            placed[h, glob] = probs @ proj[3 * n_heads + h]
+            if keep:
+                saved.append(probs)
+            del probs  # not alive in the next head's softmax
+        out = out * layout.keep_col + placed
+        rows = (q_glob, q_glob_wt, kg_t, saved)
+    # C order even where the transpose alone would be a view (d_head 1): the per-head concatenation's layout
+    merged = np.ascontiguousarray(out.transpose(1, 0, 2)).reshape(len(x), -1)
     projected, out_wt = ad.linear_forward(merged, params.output)
-    state = (x, merged, out_wt, heads_state, inv_sqrt_d) if keep else None
+    state = (x, proj, wt, every_row, global_queries, band, rows, merged, out_wt, inv_sqrt_d) if keep else None
     return projected * layout.valid_col, state
 
 
 def _attention_backward(
     g: np.ndarray, state: tuple, layout: BandLayout, params: AttentionParams, dx: np.ndarray | None
 ) -> np.ndarray:
-    """Route the sublayer's parameter gradients; return `dx` plus its input gradient.
+    """Route the sublayer's parameter gradients; add its input gradient into `dx` (in place) and return it.
 
-    The input gradient is summed one contribution at a time in the order the
-    op-by-op graph's sweep summed it, heads ascending (see
-    :func:`_head_backward`), as floating-point addition does not associate;
-    summing a head's contributions first changes bits.  A `dx` of None takes
-    the first contribution as is.
+    The input gradient is summed one projection at a time in the order the
+    op-by-op graph's sweep summed it, as floating-point addition does not
+    associate: per head, ascending, the query, key and value, then the global
+    query's rows put in place, the global keys and the global values.  A `dx`
+    of None takes the first contribution as is.
     """
-    x, merged, out_wt, heads_state, inv_sqrt_d = state
+    x, proj, wt, every_row, global_queries, band, rows, merged, out_wt, inv_sqrt_d = state
+    glob, n_heads = layout.glob, len(params.heads)
     g_merged = ad.linear_backward(g * layout.valid_col, merged, out_wt, params.output)
-    d_head = g_merged.shape[1] // len(params.heads)
-    for h, (head, head_state) in enumerate(zip(params.heads, heads_state)):
-        g_head = g_merged[:, h * d_head:(h + 1) * d_head]
-        dx = _head_backward(g_head, x, head, head_state, layout, inv_sqrt_d, dx)
+    g = np.ascontiguousarray(g_merged.reshape(len(x), n_heads, -1).transpose(1, 0, 2))
+    # query, key, value and global value gradients; the global keys' stays the transposed view (qg.T @ ds).T was
+    d_proj = np.zeros_like(proj[:4 * n_heads])
+    if glob.size:
+        q_glob, q_glob_wt, kg_t, saved = rows
+        g_glob = g.take(glob, axis=1)
+        d_q_glob, d_kg = np.empty_like(q_glob), np.empty_like(kg_t).mT
+        for h, probs in enumerate(saved):
+            ds = ad.softmax_backward(probs, g_glob[h] @ proj[3 * n_heads + h].T, axis=1)
+            d_q_glob[h] = (ds @ kg_t[h].T) * inv_sqrt_d
+            d_kg[h] = (q_glob[h].T @ ds).T
+            d_proj[3 * n_heads + h] = probs.T @ g_glob[h]
+        g = g * layout.keep_col
+    _band_backward(g, band, layout, d_proj[:3 * n_heads].reshape(3, *g.shape))
+    d_proj[:n_heads] *= inv_sqrt_d
+    _project_backward(d_proj, x, every_row[:len(d_proj)])
+    if glob.size:
+        _project_backward(d_kg, x, every_row[len(d_proj):])
+        _project_backward(d_q_glob, x[glob], global_queries)
+        placed = np.zeros_like(x)
+    # -0.0 is the additive identity, so a first contribution lands as is
+    dx = np.full_like(x, -0.0) if dx is None else dx
+    for h in range(n_heads):
+        # one head at a time: every head's (rows × d_model) contributions at once cost MBs on long documents
+        d_x = _input_gradient(d_proj[h::n_heads], wt[h:len(d_proj):n_heads])  # query, key, value(, global value)
+        for d in d_x[:3]:
+            dx += d
+        if glob.size:
+            # global rows are unique, so this is the 0.0 + d that += into zeros gave (-0.0 lands as 0.0)
+            placed[glob] = _input_gradient(d_q_glob[h], q_glob_wt[h]) + 0.0
+            for d in (placed, _input_gradient(d_kg[h], wt[len(d_proj) + h]), d_x[3]):
+                dx += d
     return dx
 
 

@@ -373,11 +373,26 @@ def test_fused_layer_equals_composed_graph_on_edge_cases(n, window, heads, glob)
     _assert_fused_equals_composed(x, mask, params, n)
 
 
+@pytest.mark.parametrize(
+    "seed",
+    [5, 17, 28, 18, 39, 31, 43],
+    ids=["dhead1-4heads-a", "dhead1-4heads-b", "dhead1-4heads-c", "dhead1-2heads-a", "dhead1-2heads-b",
+         "window1-a", "window1-b"],
+)
+def test_stacked_heads_equal_composed_graph_where_a_stack_changes_operand_layouts(seed):
+    """Random cases where stacking the heads gives a slice another layout
+    than one head's array had unless the sublayer copies it: with d_head 1 a
+    gathered or merged operand turns strided, and window 1 makes one-row chunks."""
+    x, mask, params, _ = _rand_case(seed, with_globals=True)
+    assert params.heads[0].query.out_features == 1 or mask.window == 1
+    _assert_fused_equals_composed(x, mask, params, seed)
+
+
 def test_global_query_gradient_lands_on_its_rows_as_np_add_at_put_it(monkeypatch):
-    """The global query's input gradient, put in place at the global rows,
-    has the bits np.add.at into zeros gave it: a -0.0 lands as 0.0 + -0.0.
+    """The global queries' input gradients, put in place at the global rows,
+    have the bits np.add.at into zeros gave them: a -0.0 lands as 0.0 + -0.0.
     Every other projection contributes -0.0 throughout, so a -0.0 that
-    landed as is would survive in the head's input gradient."""
+    landed as is would survive in the sublayer's input gradient."""
     from sectsum import attention
 
     rng = np.random.default_rng(11)
@@ -385,27 +400,26 @@ def test_global_query_gradient_lands_on_its_rows_as_np_add_at_put_it(monkeypatch
     layout = mask.layout
     params = _params(rng, 8, 2)
     x = rng.standard_normal((mask.padded_len, 8))
-    g = rng.standard_normal((mask.padded_len, 4))
-    real, global_rows = ad.linear_backward, []
+    g = rng.standard_normal((mask.padded_len, 8))
+    real, d_rows = attention._input_gradient, []
 
-    def signed_zeros(g_out, x_in, wt, layer):
-        d_in = real(g_out, x_in, wt, layer)
-        if x_in.shape[0] != layout.glob.size:  # the global query reads only the global rows
+    def signed_zeros(g_out, wt):
+        d_in = real(g_out, wt)
+        if g_out.shape[-2] != layout.glob.size:  # a global query's gradient has only the global rows
             return np.full_like(d_in, -0.0)
-        d_in = d_in.copy()
         d_in[:, ::2] = -0.0
-        global_rows.append(d_in)
+        d_rows.append(d_in)
         return d_in
 
-    monkeypatch.setattr(ad, "linear_backward", signed_zeros)
-    inv_sqrt_d = 0.5  # 1 / sqrt(d_head)
-    _, state = attention._head_forward(x, params.heads[0], layout, inv_sqrt_d, True)
-    dx = attention._head_backward(g, x, params.heads[0], state, layout, inv_sqrt_d, None)
-    (d_rows,) = global_rows
+    monkeypatch.setattr(attention, "_input_gradient", signed_zeros)
+    _, state = attention._attention_forward(x, layout, params, True)
+    dx = attention._attention_backward(g, state, layout, params, None)
+    assert len(d_rows) == len(params.heads)
     want = np.zeros_like(x)
-    np.add.at(want, layout.glob, d_rows)
     placed = np.full_like(x, -0.0)
-    placed[layout.glob] = d_rows
+    for rows in d_rows:  # head by head
+        np.add.at(want, layout.glob, rows)
+        placed[layout.glob] += rows
     assert np.signbit(d_rows).any() and want.tobytes() != placed.tobytes()
     assert dx.tobytes() == want.tobytes()
 

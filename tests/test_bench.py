@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+
+import numpy as np
 import pytest
 
-from sectsum.bench import BenchPoint, doubling_ratios, run_bench, write_bench_tsv
+from sectsum import autodiff as ad
+from sectsum.attention import build_attention_mask, global_attention, init_attention_params, select_global
+from sectsum.bench import BenchPoint, _peak_bytes, doubling_ratios, run_bench, write_bench_tsv
+from sectsum.config import RunConfig
 
 
 def test_run_bench_produces_positive_measurements():
@@ -26,6 +32,22 @@ def test_run_bench_validates_arguments():
         run_bench([4], window=8, global_ratio=0.0, repeats=1, d_model=8, heads=2)
     with pytest.raises(ValueError, match="repeats"):
         run_bench([8], window=4, global_ratio=0.0, repeats=0, d_model=8, heads=2)
+
+
+def test_a_no_grad_sparse_call_at_800_rows_peaks_under_twice_the_per_head_bytes():
+    """All heads' projections and band chunks are alive at once, but the
+    global rows' (globals × rows) scores are built one head at a time and no
+    chunk state is kept.  8.7 MB is twice the 4.34 MB that running the whole
+    sublayer one head at a time peaked at; this code reads 6.70 MB, and
+    every head's global scores at once read 15.9 MB."""
+    cfg = RunConfig()
+    n = 800
+    mask = build_attention_mask([n], 50, [select_global(n, 20.0)])
+    x = ad.Tensor(np.random.default_rng(0).standard_normal((mask.padded_len, cfg.d_model)))
+    params = init_attention_params(np.random.default_rng(0), cfg.d_model, cfg.heads, 1)
+    sparse = functools.partial(global_attention, x, mask, params, cfg.heads)
+    sparse()  # the mask's band layout is built on first use, and run_bench times before it measures
+    assert _peak_bytes(sparse) < 8.7e6
 
 
 def test_doubling_ratios_skip_non_doubling_steps():
