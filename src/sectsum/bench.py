@@ -25,6 +25,7 @@ from .attention import (
     init_attention_params,
     select_global,
 )
+from .config import RunConfig
 from .corpus import write_table
 from .rouge import stable_seed
 
@@ -68,32 +69,24 @@ def _peak_bytes(fn) -> int:
     return int(peak)
 
 
-def run_bench(
-    n_list: list[int],
-    window: int,
-    global_ratio: float,
-    repeats: int = 5,
-    *,
-    d_model: int = 64,
-    heads: int = 4,
-    global_policy: str = "stride",
-    seed: int = 0,
-) -> list[BenchPoint]:
-    """Measure both implementations at each n; cross-check outputs at w >= n."""
+def run_bench(n_list: list[int], cfg: RunConfig, repeats: int = 5) -> list[BenchPoint]:
+    """Measure both implementations at each n with the config's attention
+    (window, global ratio and policy, d_model, heads, seed); cross-check outputs at w >= n."""
+    window, seed = cfg.window, cfg.seed
     for n in n_list:
         if n < window:
             raise ValueError(f"bench requires n >= window, got n={n} < window={window}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    params = init_attention_params(np.random.default_rng(seed), d_model, heads, 1)
+    params = init_attention_params(np.random.default_rng(seed), cfg.d_model, cfg.heads, 1)
     cases = []
     for n in n_list:
-        globals_ = select_global(n, global_ratio, global_policy, stable_seed(seed, "bench-globals", n))
+        globals_ = select_global(n, cfg.global_ratio, cfg.global_policy, stable_seed(seed, "bench-globals", n))
         mask = build_attention_mask([n], window, [globals_])
         rng = np.random.default_rng(stable_seed(seed, "bench-input", n))
-        x = ad.Tensor(rng.standard_normal((mask.padded_len, d_model)))
-        sparse = functools.partial(global_attention, x, mask, params, heads)
-        dense = functools.partial(full_attention_reference, x, mask, params, heads)
+        x = ad.Tensor(rng.standard_normal((mask.padded_len, cfg.d_model)))
+        sparse = functools.partial(global_attention, x, mask, params, cfg.heads)
+        dense = functools.partial(full_attention_reference, x, mask, params, cfg.heads)
         if window >= n:
             with ad.no_grad():
                 gap = float(np.abs(sparse().data - dense().data).max())

@@ -6,6 +6,8 @@ writes and refuses input artifacts carrying a different hash.  Exit codes:
 0 success, 1 contract or validation failure, 2 I/O or usage problems.  NumPy's
 floating-point warnings are off: an overflowing model is reported by its refusal.
 Every subcommand runs at one OpenBLAS thread, so OPENBLAS_NUM_THREADS changes no byte.
+`label` and `summarize` spread their documents over the usable CPUs, one share
+per process (_map_documents): one process runs one share and forks nothing.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import dataclasses
 import logging
 import os
 import pickle
+import signal
 import sys
 from pathlib import Path
 
@@ -43,7 +46,6 @@ from .extractor import select_sentences, selection_budget
 from .model import Model
 from .rouge import oracle_labels, rouge_l, rouge_n
 from .training import TrainingError, train, write_metrics_csv
-from .workers import Child, WorkerError, _usable_cpus
 
 log = logging.getLogger(__name__)
 
@@ -131,6 +133,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+class WorkerError(RuntimeError):
+    """A worker process ended, or failed, without returning its results."""
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork workers."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 class _Collector(logging.Handler):
     """Keeps the log records of one document, flattened so they pickle."""
 
@@ -144,10 +157,12 @@ class _Collector(logging.Handler):
 
 
 def _run_share(fn, docs, share: list[int]) -> list[tuple]:
-    """(index, failed, result or exception, log records) for each document of the share.
+    """(index, failed, result or exception, log records) for each document of the
+    share, up to its first failing one.
 
-    A failing document does not stop the share; its records are held back, not
-    emitted, so the caller can emit everyone's in document order.
+    A failure ends the share, as no later document of it can be the first to
+    fail.  The records are held back, not emitted, so the caller can emit
+    everyone's in document order.
     """
     root = logging.getLogger()
     handlers = root.handlers[:]
@@ -160,16 +175,57 @@ def _run_share(fn, docs, share: list[int]) -> list[tuple]:
                 done.append((i, False, fn(i, docs[i]), collector.records))
             except Exception as e:
                 done.append((i, True, e, collector.records))
+                break
     finally:
         root.handlers[:] = handlers
     return done
 
 
-def _send_share(fn, docs, share: list[int], read_fd: int, write_fd: int) -> None:
-    """A child's body: run its share and send the results down its pipe."""
-    os.close(read_fd)
-    with open(write_fd, "wb") as pipe:
-        pickle.dump(_run_share(fn, docs, share), pipe)
+class _Child:
+    """A forked process that runs one share through `_run_share` and pickles the
+    results down its pipe, ignoring SIGINT (the parent decides when it stops).
+    It exits 0 once they are sent, 1 if sending fails; :meth:`kill` it on the way out.
+    """
+
+    def __init__(self, fn, docs, share: list[int]):
+        read_fd, write_fd = os.pipe()
+        self.pipe = open(read_fd, "rb")
+        try:
+            self.pid = os.fork()  # None once reaped
+        except BaseException:
+            self.pipe.close()
+            os.close(write_fd)
+            raise
+        if self.pid == 0:  # the child never returns from here
+            code = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                self.pipe.close()
+                with open(write_fd, "wb") as pipe:
+                    pickle.dump(_run_share(fn, docs, share), pipe)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+
+    def results(self) -> list[tuple]:
+        """The share's results once the child has exited 0; a WorkerError if it did not."""
+        with self.pipe:
+            data = self.pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        if status != 0:
+            how = f"was killed by signal {-status}" if status < 0 else f"exited {status}"
+            raise WorkerError(f"a worker process {how} before returning its documents' results")
+        return pickle.loads(data)
+
+    def kill(self) -> None:
+        """Close the pipe, then kill and reap the child, busy or not, unless it was reaped already."""
+        self.pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
 
 
 def _shares(docs, p: int) -> list[list[int]]:
@@ -191,35 +247,25 @@ def _map_documents(fn, docs) -> list:
     """`[fn(i, doc) for i, doc in enumerate(docs)]`, spread over the usable CPUs.
 
     P = min(usable CPUs, documents) processes take near-equal shares of the
-    sentences, longest documents placed first.  P - 1 forked children each send
-    their share's results, exceptions and log records back through a pipe; the
-    parent works through share 0, then re-emits every log record and returns
-    the results in document order, or raises the failure of the first failing
-    document, as the serial loop would.  A child that fails to send its results
-    (it died, or an exception would not pickle) fails the call with a
-    WorkerError, and no child outlives it.  At P = 1 this is the serial loop
-    itself.
+    sentences, longest documents placed first.  The parent forks a child for
+    each share after the first, which sends its share's results, exceptions and
+    log records back through a pipe; the parent works through share 0, then
+    re-emits every log record and returns the results in document order, or
+    raises the failure of the first failing document.  A child that fails to
+    send its results (it died, or an exception would not pickle) fails the call
+    with a WorkerError, and no child outlives it.  One process runs one share
+    and forks nothing.
     """
-    p = min(_usable_cpus(), len(docs))
-    if p <= 1:
-        return [fn(i, doc) for i, doc in enumerate(docs)]
-    shares = _shares(docs, p)
-    children = []  # (child, read end of its pipe)
+    shares = _shares(docs, max(1, min(_usable_cpus(), len(docs))))
+    children = []
     try:
         for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            child = Child(_send_share, fn, docs, share, read_fd, write_fd)
-            os.close(write_fd)
-            children.append((child, open(read_fd, "rb")))
+            children.append(_Child(fn, docs, share))
         done = _run_share(fn, docs, shares[0])
-        for child, pipe in children:
-            with pipe:
-                data = pipe.read()
-            child.reap()
-            done.extend(pickle.loads(data))
+        for child in children:
+            done.extend(child.results())
     finally:
-        for child, pipe in children:
-            pipe.close()
+        for child in children:
             child.kill()
     results = []
     for _i, failed, value, records in sorted(done, key=lambda item: item[0]):
@@ -394,16 +440,7 @@ def cmd_bench(args, cfg: RunConfig) -> int:
         raise ConfigError(f"--n-list must be comma-separated integers, got {args.n_list!r}") from None
     if not n_list:
         raise ConfigError("--n-list is empty")
-    points = run_bench(
-        n_list,
-        cfg.window,
-        cfg.global_ratio,
-        repeats=args.repeats,
-        d_model=cfg.d_model,
-        heads=cfg.heads,
-        global_policy=cfg.global_policy,
-        seed=cfg.seed,
-    )
+    points = run_bench(n_list, cfg, repeats=args.repeats)
     write_bench_tsv(points, args.out, model_hash(cfg))
     for p in points:
         print(

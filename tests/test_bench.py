@@ -14,7 +14,7 @@ from sectsum.config import RunConfig
 
 
 def test_run_bench_produces_positive_measurements():
-    points = run_bench([8, 16], window=4, global_ratio=10.0, repeats=1, d_model=8, heads=2)
+    points = run_bench([8, 16], RunConfig(window=4, global_ratio=10.0, d_model=8, heads=2), repeats=1)
     assert [p.n for p in points] == [8, 16]
     for p in points:
         assert p.sparse_ms > 0 and p.dense_ms > 0
@@ -23,15 +23,15 @@ def test_run_bench_produces_positive_measurements():
 
 def test_run_bench_cross_checks_when_window_covers_document():
     # w >= n forces the sparse path through the dense-equivalence check
-    points = run_bench([4], window=4, global_ratio=0.0, repeats=1, d_model=8, heads=2)
+    points = run_bench([4], RunConfig(window=4, global_ratio=0.0, d_model=8, heads=2), repeats=1)
     assert points[0].n == 4
 
 
 def test_run_bench_validates_arguments():
     with pytest.raises(ValueError, match="n >= window"):
-        run_bench([4], window=8, global_ratio=0.0, repeats=1, d_model=8, heads=2)
+        run_bench([4], RunConfig(window=8, global_ratio=0.0, d_model=8, heads=2), repeats=1)
     with pytest.raises(ValueError, match="repeats"):
-        run_bench([8], window=4, global_ratio=0.0, repeats=0, d_model=8, heads=2)
+        run_bench([8], RunConfig(window=4, global_ratio=0.0, d_model=8, heads=2), repeats=0)
 
 
 def test_a_no_grad_sparse_call_at_800_rows_peaks_under_twice_the_per_head_bytes():

@@ -1,12 +1,14 @@
 """`label` and `summarize` spread documents over worker processes: the same bytes,
 log records, refusals and exit codes at every process count, and no process left.
 
-Each test sets the process count through `cli._usable_cpus`, at 1 (the serial
-loop), 2 and 3 (more processes than this machine may have CPUs is fine).
+Each test sets the process count through `cli._usable_cpus`, at 1 (one share,
+run in the parent, which forks nothing), 2 and 3 (more processes than this
+machine may have CPUs is fine).
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import logging
 import os
@@ -170,6 +172,52 @@ def test_an_exception_in_the_parents_share_leaves_no_child(monkeypatch, count):
     _processes(monkeypatch, count)
     with pytest.raises(RuntimeError, match="parent failed on d"):
         _map_documents(fn, docs)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("count", COUNTS)
+def test_a_share_stops_at_its_first_failing_document(monkeypatch, count):
+    # no later document of the share can be the first to fail, so none of them runs
+    docs = [doc_from_sections(f"d{d}", [["alpha beta"] * (d + 1)]) for d in range(6)]
+    parent = os.getpid()
+    calls = []
+
+    def fn(i, doc):
+        if os.getpid() == parent:
+            calls.append(doc.id)
+            raise RuntimeError(f"parent failed on {doc.id}")
+        return doc.id
+
+    _processes(monkeypatch, count)
+    assert len(_shares(docs, count)[0]) > 1
+    with pytest.raises(RuntimeError, match="parent failed on d"):
+        _map_documents(fn, docs)
+    assert len(calls) == 1
+    assert_no_children()
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_a_failed_fork_closes_its_pipe_and_leaves_no_child(tmp_path, capsys, monkeypatch, failing):
+    # at three processes the parent forks for shares 1 and 2; the fork for share `failing` raises
+    corpus, cfg = _corpus(tmp_path, [4, 9, 5, 8, 6, 7])
+    fork, forks = os.fork, []
+
+    def fork_or_fail():
+        forks.append(None)
+        if len(forks) == failing:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_or_fail)
+    _processes(monkeypatch, 3)
+    out = tmp_path / "labels.jsonl"
+    fds = sorted(os.listdir("/proc/self/fd"))
+    capsys.readouterr()
+    assert main(["label", "--config", str(cfg), "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    assert capsys.readouterr().err.splitlines() == [
+        f"sectsum label: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"]
+    assert not out.exists()
     assert_no_children()
 
 

@@ -20,13 +20,12 @@ import pytest
 import sectsum
 from helpers import load_perfbench_gen
 from sectsum import cli as cli_module
-from sectsum import workers
-from sectsum.cli import main
+from sectsum.cli import _usable_cpus, main
 
 
 def test_a_platform_without_fork_uses_one_cpu(monkeypatch):
     monkeypatch.delattr(os, "fork")
-    assert workers._usable_cpus() == 1
+    assert _usable_cpus() == 1
 
 
 def test_the_cli_pins_one_blas_thread_and_gives_the_caller_its_count_back(tmp_path, monkeypatch):
